@@ -108,61 +108,29 @@ rule(unsigned width = 78)
     std::putchar('\n');
 }
 
-/** Name of the event engine @p cfg selects. */
-inline const char*
-engineName(const sim::MachineConfig& cfg)
-{
-    return cfg.engine == sim::SimEngine::Parallel ? "parallel"
-                                                  : "sequential";
-}
-
 /**
- * Applies the HMTX_ENGINE / HMTX_ENGINE_THREADS / HMTX_FASTPATH /
- * HMTX_APPLY_COMMUTE environment knobs to @p cfg and returns the
- * resulting engine name. HMTX_ENGINE is "sequential" or "parallel"
- * (DESIGN.md §11; results are bit-identical either way);
- * HMTX_ENGINE_THREADS follows the MachineConfig::engineThreads
- * encoding (0 auto, 1 inline, >=2 forced). HMTX_FASTPATH ("on"/"off")
- * toggles the zero-event hit fast path and HMTX_APPLY_COMMUTE
- * ("on"/"off") the commute-aware batch apply (both DESIGN.md §13;
- * also bit-identical — they change host time and sim.fastpath.* /
- * sim.parallel.apply.* counters only). Every bench applies this to
- * each config it builds, so one environment variable flips a whole
- * run onto the parallel engine or the fast path.
+ * Applies the HMTX_FASTPATH environment knob ("on"/"off") to @p cfg:
+ * it toggles the zero-event hit fast path (DESIGN.md §13), which is
+ * bit-identical either way — it changes host time and the
+ * sim.fastpath.* counters only. Every bench applies this to each
+ * config it builds, so one environment variable flips a whole run onto
+ * the fast path.
  */
-inline const char*
+inline void
 applyEngineEnv(sim::MachineConfig& cfg)
 {
-    auto onOff = [](const char* name, const char* v) {
-        if (std::strcmp(v, "on") == 0 || std::strcmp(v, "1") == 0)
-            return true;
-        if (std::strcmp(v, "off") == 0 || std::strcmp(v, "0") == 0)
-            return false;
-        std::fprintf(stderr, "FATAL: %s=%s (want on or off)\n", name,
-                     v);
+    const char* f = std::getenv("HMTX_FASTPATH");
+    if (f == nullptr)
+        return;
+    if (std::strcmp(f, "on") == 0 || std::strcmp(f, "1") == 0) {
+        cfg.fastPath = true;
+    } else if (std::strcmp(f, "off") == 0 || std::strcmp(f, "0") == 0) {
+        cfg.fastPath = false;
+    } else {
+        std::fprintf(stderr, "FATAL: HMTX_FASTPATH=%s (want on or off)\n",
+                     f);
         std::abort();
-    };
-    if (const char* e = std::getenv("HMTX_ENGINE")) {
-        if (std::strcmp(e, "parallel") == 0) {
-            cfg.engine = sim::SimEngine::Parallel;
-        } else if (std::strcmp(e, "sequential") == 0) {
-            cfg.engine = sim::SimEngine::Sequential;
-        } else {
-            std::fprintf(stderr,
-                         "FATAL: HMTX_ENGINE=%s (want sequential or "
-                         "parallel)\n",
-                         e);
-            std::abort();
-        }
     }
-    if (const char* t = std::getenv("HMTX_ENGINE_THREADS"))
-        cfg.engineThreads =
-            static_cast<unsigned>(std::strtoul(t, nullptr, 0));
-    if (const char* f = std::getenv("HMTX_FASTPATH"))
-        cfg.fastPath = onOff("HMTX_FASTPATH", f);
-    if (const char* c = std::getenv("HMTX_APPLY_COMMUTE"))
-        cfg.applyCommute = onOff("HMTX_APPLY_COMMUTE", c);
-    return engineName(cfg);
 }
 
 /**

@@ -34,6 +34,7 @@
 #include "sim/cache_system.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats_report.hh"
+#include "workloads/lane_clock.hh"
 
 using namespace hmtx;
 
@@ -88,37 +89,6 @@ struct TxInstr
     std::uint64_t value;
 };
 
-/** Per-core lane clocks with global synchronization points. */
-struct LaneClock
-{
-    std::uint64_t t[kCores] = {};
-
-    std::uint64_t
-    maxT() const
-    {
-        std::uint64_t m = 0;
-        for (std::uint64_t v : t)
-            m = std::max(m, v);
-        return m;
-    }
-
-    void
-    local(unsigned core, std::uint64_t cycles)
-    {
-        t[core] += cycles;
-    }
-
-    /** Global event (commit, abort, serialized access): every lane
-     *  waits for the slowest, then all advance together. */
-    void
-    global(std::uint64_t cycles)
-    {
-        const std::uint64_t m = maxT() + cycles;
-        for (std::uint64_t& v : t)
-            v = m;
-    }
-};
-
 /**
  * Runs the whole transaction pipeline for one cell. Each batch puts
  * one transaction per core in flight (VIDs LC+1..LC+4), interleaves
@@ -137,7 +107,7 @@ runCell(const sim::MachineConfig& cfg, unsigned W)
     sim::EventQueue eq;
     sim::CacheSystem sys(eq, cfg);
     CellResult res;
-    LaneClock lanes;
+    workloads::LaneClock lanes(kCores);
 
     const Addr sharedLine = 0x80000;
     Vid nextVid = 1;

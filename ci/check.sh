@@ -65,6 +65,16 @@ if printf '%s\n' "${PRESETS[@]}" | grep -qx release \
         fuzz_batch best-effort btx 500001 "$FUZZ_QUARTER"
     [ "$FUZZ_QUARTER" -gt 0 ] && \
         fuzz_batch limited-set ltd 600001 "$FUZZ_QUARTER"
+    # A small batch from a distinct seed range through the --threads
+    # batch mode (worker threads claiming seeds from a shared counter),
+    # which must report exactly what a single-threaded campaign would.
+    echo "==== fuzz (all cells, --threads 2): 400 differential schedules ===="
+    if ! "$FUZZ_BIN" --schedules 400 --ops 120 --seed0 900001 \
+        --threads 2 --corpus-out "$ROOT/tests/fuzz/corpus"; then
+        echo "FATAL: threaded differential fuzzing diverged; shrunken" \
+             "replay written to tests/fuzz/corpus" >&2
+        exit 1
+    fi
 fi
 
 # Bounded-exhaustive model checking (DESIGN.md §14): enumerate every
@@ -99,24 +109,6 @@ if printf '%s\n' "${PRESETS[@]}" | grep -qx release \
     mc_batch best-effort btx 100001 --ops 7
     mc_batch limited-set ltd 200001 --ops 7
     mc_batch delivery-order all 300001 --ops 5 --delivery 3
-fi
-
-# Parallel event engine (DESIGN.md §11): the bit-identity smoke across
-# the full {bus,directory} x {lazy,eager} x {inline,threaded} matrix,
-# plus a small threaded fuzz batch from a distinct seed range (the main
-# batch above already runs the engine-backed matrix cells on every
-# schedule; this one additionally exercises the --threads batch mode).
-if printf '%s\n' "${PRESETS[@]}" | grep -qx release; then
-    echo "==== parallel engine: differential smoke ===="
-    "$ROOT/build-release/tests/workloads/parallel_differential_test"
-    echo "==== parallel engine: threaded fuzz batch ===="
-    if ! "$ROOT/build-release/tests/fuzz/hmtx_fuzz" --schedules 400 \
-        --ops 120 --seed0 900001 --threads 2 \
-        --corpus-out "$ROOT/tests/fuzz/corpus"; then
-        echo "FATAL: threaded differential fuzzing diverged; shrunken" \
-             "replay written to tests/fuzz/corpus" >&2
-        exit 1
-    fi
 fi
 
 # Bench smoke + hot-path regression gate (Release timings only; the

@@ -1,6 +1,6 @@
 /**
  * @file
- * The differential runner: golden model vs. the grouped 10-cell config
+ * The differential runner: golden model vs. the grouped 8-cell config
  * matrix. Each group (full-HMTX, best-effort, limited-set) runs the
  * schedule independently against its own golden model — commit modes
  * differ architecturally by design, so cross-cell comparison is only
@@ -12,15 +12,12 @@
 #include <map>
 #include <memory>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "check/differ.hh"
 #include "check/golden.hh"
 #include "sim/cache_system.hh"
-#include "sim/parallel_engine.hh"
 #include "sim/rng.hh"
-#include "sim/task.hh"
 
 namespace hmtx::check
 {
@@ -28,16 +25,11 @@ namespace hmtx::check
 namespace
 {
 
-/** Full-HMTX group: cells 0-3 drive the CacheSystem directly; cells
- *  4-5 route every scripted access through the parallel event engine
- *  (DESIGN.md §11) so the staged-retirement path faces the same fuzz
- *  pressure. */
-constexpr int kCells = 6;
-constexpr int kEngineCellBase = 4;
+/** Full-HMTX group: {bus, dir} x {lazy, eager}. */
+constexpr int kCells = 4;
 
-const char* const kCellNames[kCells] = {
-    "bus/lazy",      "bus/eager",      "dir/lazy",
-    "dir/eager",     "bus/lazy/peng",  "dir/eager/peng"};
+const char* const kCellNames[kCells] = {"bus/lazy", "bus/eager",
+                                        "dir/lazy", "dir/eager"};
 
 const char*
 groupName(unsigned g)
@@ -82,21 +74,9 @@ cellConfig(const FuzzConfig& c, int i)
     // the bit clear run the classic event path, so cross-cell
     // comparison doubles as a fast-on vs fast-off differential.
     mc.fastPath = (c.fastPathMask >> i) & 1;
-    if (i >= kEngineCellBase) {
-        // Engine cells mirror the two matrix corners with the default
-        // (unsharded) memory system; the variation under test is the
-        // staged access path itself.
-        mc.fabric = i == kEngineCellBase ? sim::Fabric::SnoopBus
-                                         : sim::Fabric::Directory;
-        mc.txMode = i == kEngineCellBase ? TxMode::LazyHmtx
-                                         : TxMode::EagerHmtx;
-        return mc;
-    }
     mc.fabric = i < 2 ? sim::Fabric::SnoopBus : sim::Fabric::Directory;
     mc.txMode = (i % 2) == 0 ? TxMode::LazyHmtx
                              : TxMode::EagerHmtx;
-    mc.shards = c.shards[i];
-    mc.shardThreads = c.shardThreads[i];
     // One cell polices the incremental indexes after every bulk op;
     // another runs the reference full-scan path, so index bugs show up
     // as cross-cell divergence even between cross-checks.
@@ -134,20 +114,6 @@ modeCellConfig(const FuzzConfig& c, unsigned g, sim::Fabric f)
     return mc;
 }
 
-/** Staging-worker policy for an engine cell (runtime convention:
- *  0 auto, 1 inline, >=2 forced, always clamped to the core count). */
-unsigned
-engineWorkers(unsigned cores, unsigned threads)
-{
-    const unsigned host =
-        std::max(1u, std::thread::hardware_concurrency());
-    if (threads == 1)
-        return 0;
-    if (threads == 0)
-        return host > 1 ? std::min(cores, host) : 0;
-    return std::min(cores, threads);
-}
-
 bool
 usesAddr(OpKind k)
 {
@@ -179,103 +145,15 @@ hex(std::uint64_t v)
     return buf;
 }
 
-struct Cell;
-
-/** Awaits one staged turn: the worker records where the lane resumes
- *  and the coordinator retires the staged intent at its event slot. */
-struct StagedTurn
-{
-    sim::ParallelEngine* eng;
-    std::uint32_t lane;
-    bool await_ready() const noexcept { return false; }
-    void
-    await_suspend(std::coroutine_handle<> h) noexcept
-    {
-        eng->stageSuspend(lane, h);
-    }
-    void await_resume() const noexcept {}
-};
-
 struct Cell
 {
     const char* name;
     sim::EventQueue eq;
     sim::CacheSystem sys;
-    /** Engine cells only; null for the direct-drive cells. */
-    std::unique_ptr<sim::ParallelEngine> eng;
-    /** Per-access staging context (one scripted access in flight at a
-     *  time): the apply callback needs the VID and wrong-path flag,
-     *  and stashes the full AccessResult for the comparison. */
-    Vid vid = 0;
-    bool wrongPath = false;
-    sim::AccessResult res{};
 
-    Cell(const char* n, const sim::MachineConfig& mc,
-         unsigned engineThreads, bool useEngine)
+    Cell(const char* n, const sim::MachineConfig& mc)
         : name(n), sys(eq, mc)
-    {
-        if (!useEngine)
-            return;
-        const Tick window = std::max<Cycles>(
-            1, sys.interconnect().minC2CLatency());
-        eng = std::make_unique<sim::ParallelEngine>(
-            eq, mc.numCores,
-            engineWorkers(mc.numCores, engineThreads), window);
-        eng->setApply([this](std::uint32_t lane,
-                             const sim::LaneIntent& in) {
-            res = in.kind == sim::LaneIntent::Kind::Store
-                ? sys.store(static_cast<CoreId>(lane), in.addr,
-                            in.value, in.size, vid)
-                : sys.load(static_cast<CoreId>(lane), in.addr,
-                           in.size, vid, wrongPath);
-            return sim::StagedResult{eq.curTick() + 1 + res.latency,
-                                     res.value, res.aborted, vid};
-        });
-    }
-
-    /**
-     * One scripted access. Direct cells call the CacheSystem
-     * synchronously; engine cells stage the access as a one-op
-     * section and run the event loop, so the value flows through
-     * dispatch -> worker staging -> in-order retirement.
-     */
-    sim::AccessResult
-    access(bool isStore, CoreId core, Addr a, std::uint64_t v,
-           unsigned size, Vid accessVid, bool wp = false)
-    {
-        if (!eng) {
-            return isStore ? sys.store(core, a, v, size, accessVid)
-                           : sys.load(core, a, size, accessVid, wp);
-        }
-        vid = accessVid;
-        wrongPath = wp;
-        sim::LaneIntent in;
-        in.kind = isStore ? sim::LaneIntent::Kind::Store
-                          : sim::LaneIntent::Kind::Load;
-        in.addr = a;
-        in.value = v;
-        in.size = size;
-        sim::Task<void> root = opRoot(core, in);
-        root.start();
-        eng->run();
-        root.rethrow();
-        return res;
-    }
-
-  private:
-    sim::Task<void>
-    opBody(std::uint32_t lane, sim::LaneIntent in)
-    {
-        eng->stageIntent(lane, in);
-        co_await StagedTurn{eng.get(), lane};
-    }
-
-    sim::Task<void>
-    opRoot(std::uint32_t lane, sim::LaneIntent in)
-    {
-        co_await sim::StagedSection(eng.get(), lane,
-                                    opBody(lane, in));
-    }
+    {}
 };
 
 /** One pending deferred-mark acknowledgment (§5.1). */
@@ -293,24 +171,17 @@ class Runner
         : s_(s), gold_(s.cfg.slaEnabled, groupPolicy(s.cfg, group))
     {
         if (group == kGroupHmtx) {
-            for (int i = 0; i < kCells; ++i) {
-                const bool engine = i >= kEngineCellBase;
+            for (int i = 0; i < kCells; ++i)
                 cells_.push_back(std::make_unique<Cell>(
-                    kCellNames[i], cellConfig(s.cfg, i),
-                    engine ? s.cfg.engineThreads[i - kEngineCellBase]
-                           : 1,
-                    engine));
-            }
+                    kCellNames[i], cellConfig(s.cfg, i)));
         } else {
             const bool btx = group == kGroupBtx;
             cells_.push_back(std::make_unique<Cell>(
                 btx ? "bus/btx" : "bus/ltd",
-                modeCellConfig(s.cfg, group, sim::Fabric::SnoopBus), 1,
-                false));
+                modeCellConfig(s.cfg, group, sim::Fabric::SnoopBus)));
             cells_.push_back(std::make_unique<Cell>(
                 btx ? "dir/btx" : "dir/ltd",
-                modeCellConfig(s.cfg, group, sim::Fabric::Directory),
-                1, false));
+                modeCellConfig(s.cfg, group, sim::Fabric::Directory)));
         }
         maxVid_ = cells_[0]->sys.config().maxVid();
         if (hooks != nullptr && hooks->onCell)
@@ -547,8 +418,8 @@ class Runner
         bool capacity = false;
         if (!runAll(idx,
                     [&](Cell& c) {
-                        return c.access(false, op.core, op.addr, 0,
-                                        op.size, vid, wrongPath);
+                        return c.sys.load(op.core, op.addr, op.size,
+                                          vid, wrongPath);
                     },
                     r, gen, capacity))
             return;
@@ -613,8 +484,8 @@ class Runner
         bool capacity = false;
         if (!runAll(idx,
                     [&](Cell& c) {
-                        return c.access(true, op.core, op.addr,
-                                        op.value, op.size, vid);
+                        return c.sys.store(op.core, op.addr,
+                                           op.value, op.size, vid);
                     },
                     r, gen, capacity))
             return;

@@ -299,12 +299,6 @@ generateProgram(std::uint64_t seed, unsigned cores, unsigned numOps)
     c.vidBits = rng.chance(0.25) ? 4 : 6;
     c.unboundedSpecSets = false;
     c.slaEnabled = !rng.chance(0.25);
-    for (unsigned& sh : c.shards)
-        sh = 1;
-    for (unsigned& t : c.shardThreads)
-        t = 1;
-    for (unsigned& t : c.engineThreads)
-        t = 1;
     c.btxRetries = 1 + static_cast<unsigned>(rng.range(2));
     c.btxThreshold = 0;
     // Tiny K so the K-th-line boundary is inside a 4-8 op program.

@@ -14,8 +14,8 @@
  * interleaving as a replayable witness.
  *
  * Pruning is sleep-set DPOR (landslide-style, Godefroid's algorithm)
- * keyed on the line-address commutativity classes the commute-aware
- * apply already uses (§13): accesses to different lines commute;
+ * keyed on line-address commutativity classes: accesses to different
+ * lines commute;
  * same-line accesses, potentially-aborting ops (stores, every bulk
  * op), and ops coupled through the TxPolicy state machine or the SLA
  * FIFO do not. With the relation below, sleep sets visit exactly one

@@ -2,7 +2,7 @@
  * @file
  * GoldenModel implementation. Everything here is a direct transcription
  * of the §3/§4 semantics; the point is that none of it knows about
- * caches, fabrics, shards, or the overflow table.
+ * caches, fabrics, or the overflow table.
  */
 
 #include <algorithm>

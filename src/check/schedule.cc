@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <set>
 #include <sstream>
-#include <thread>
 #include <unordered_map>
 
 #include "check/schedule.hh"
@@ -87,17 +86,17 @@ generate(std::uint64_t seed, unsigned numOps)
     s.cfg.unboundedSpecSets = rng.chance(0.4);
     s.cfg.slaEnabled = !rng.chance(0.2);
 
-    unsigned host = std::max(1u, std::thread::hardware_concurrency());
-    const unsigned shardChoices[3] = {1, 2, host};
+    // Legacy v1 fields no cell reads (schedule.hh). They are still
+    // drawn the way a multi-CPU host drew them (the third shard choice
+    // recorded as 4), so the RNG stream — and with it every later knob
+    // and op — is the same on every host.
+    const unsigned shardChoices[3] = {1, 2, 4};
     for (int c = 0; c < 4; ++c) {
-        unsigned sh = shardChoices[rng.range(3)];
+        const unsigned sh = shardChoices[rng.range(3)];
         s.cfg.shards[c] = sh;
-        // Exercise inline, forced-thread, and auto worker policies.
         s.cfg.shardThreads[c] =
             sh == 1 ? 1 : (rng.chance(0.5) ? 2 : 0);
     }
-    // Engine-backed cells: exercise inline, forced-thread, and auto
-    // staging-worker policies just like the shard cells.
     for (unsigned& t : s.cfg.engineThreads)
         t = rng.chance(0.5) ? 1 : (rng.chance(0.5) ? 2 : 0);
 

@@ -54,7 +54,7 @@ struct Op
 
 /**
  * Semantic knobs shared by every cell of the config matrix; the
- * matrix itself (fabric × commit mode × shards) lives in the runner.
+ * matrix itself (fabric × commit mode) lives in the runner.
  */
 struct FuzzConfig
 {
@@ -66,15 +66,14 @@ struct FuzzConfig
     unsigned vidBits = 6;
     bool unboundedSpecSets = false;
     bool slaEnabled = true;
-    /** Shard counts for the four matrix cells, recorded at generation
-     *  time (host cell uses the generating machine's CPU count) so a
-     *  replay reruns the exact same partitioning. */
+    /** Legacy v1 replay-format fields (the `shards`, `shardthreads`
+     *  and `enginethreads` lines) left from the removed host-parallel
+     *  engines: parse() validates them and serialize() writes them
+     *  back, so every recorded witness round-trips byte-for-byte, and
+     *  perfbench/check_matrix.cc still assigns them; no cell reads
+     *  them. Older replay files omit `enginethreads`. */
     unsigned shards[4] = {1, 1, 1, 1};
-    /** Worker-thread policy per cell (0 auto, 1 inline, >=2 forced). */
     unsigned shardThreads[4] = {1, 1, 1, 1};
-    /** Parallel-engine worker policy for the two engine-backed matrix
-     *  cells (same encoding as shardThreads). Older replay files omit
-     *  this line; the defaults keep those cells inline. */
     unsigned engineThreads[2] = {1, 1};
     /** Best-effort group policy: retry budget before the fallback lock
      *  arms, and the total-abort threshold for early fallback (0 =
@@ -84,8 +83,9 @@ struct FuzzConfig
     /** Limited-set group policy: speculative lines tracked per VID.
      *  Older replay files omit the `limitedk` line. */
     unsigned limitedK = 4;
-    /** Zero-event fast-path toggle, one bit per matrix cell (bits 0-5:
-     *  the hmtx cells in kCellNames order; bits 6-7: btx bus/dir;
+    /** Zero-event fast-path toggle, one bit per matrix cell (bits 0-3:
+     *  the hmtx cells in kCellNames order; bits 4-5: unused, kept so
+     *  recorded masks keep their meaning; bits 6-7: btx bus/dir;
      *  bits 8-9: ltd bus/dir, where the config layer gates the knob
      *  off again — fuzzing that the gate holds). Cells with the bit
      *  clear run the classic event path, so every schedule is also a

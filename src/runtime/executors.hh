@@ -47,13 +47,8 @@ struct ExecResult
     TxModeStats txStats;
     /** Simulator-side index diagnostics (not architectural). */
     sim::IndexStats indexStats;
-    /** Sharded-engine diagnostics (simulator-side, like indexStats). */
-    sim::ShardStats shardStats;
-    /** Parallel-engine diagnostics (simulator-side, like shardStats;
-     *  excluded from differential equality). */
-    sim::ParStats parStats;
     /** Zero-event fast-path diagnostics (simulator-side, like
-     *  parStats; excluded from differential equality). */
+     *  indexStats; excluded from differential equality). */
     sim::FastStats fastStats;
     /** SMTX runs only: value-validation failures detected by the
      *  commit process (0 for every abort-free run). */

@@ -15,7 +15,6 @@
 #include "sim/cache_system.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
-#include "sim/parallel_engine.hh"
 #include "sim/task.hh"
 
 namespace hmtx::runtime
@@ -51,34 +50,15 @@ class Machine
 
     /**
      * Registers and starts a root task. The machine keeps it alive for
-     * the rest of the run. Under the parallel engine, any staged
-     * sections the root opens are retired before spawn returns, so
-     * spawn-time protocol accesses keep the sequential order.
+     * the rest of the run.
      */
     void spawn(sim::Task<void> t);
 
     /**
-     * Runs the event loop (sequential or parallel per cfg.engine)
-     * until it drains. Throws if any root task ended with an exception
-     * or is still blocked (deadlock).
+     * Runs the event loop until it drains. Throws if any root task
+     * ended with an exception or is still blocked (deadlock).
      */
     void run();
-
-    /** Parallel engine, or null under the sequential engine. */
-    sim::ParallelEngine* parallel() { return peng_.get(); }
-    const sim::ParallelEngine* parallel() const { return peng_.get(); }
-
-    /**
-     * Wraps one workload stage of core @p c for execution under the
-     * configured engine: `co_await m.section(c, wl.stage(...))` is the
-     * engine-agnostic spelling of `co_await wl.stage(...)` — identical
-     * behaviour sequentially, staged on a worker in parallel mode.
-     */
-    sim::StagedSection
-    section(CoreId c, sim::Task<void> t)
-    {
-        return {peng_.get(), c, std::move(t)};
-    }
 
   private:
     sim::MachineConfig cfg_;
@@ -87,9 +67,6 @@ class Machine
     SimAllocator heap_;
     std::vector<std::unique_ptr<ThreadContext>> ctxs_;
     std::vector<sim::Task<void>> roots_;
-    /** Declared last: its worker threads must stop before the lanes'
-     *  coroutine frames (roots_) or contexts are torn down. */
-    std::unique_ptr<sim::ParallelEngine> peng_;
 };
 
 } // namespace hmtx::runtime

@@ -1,112 +1,20 @@
 /**
  * @file
- * Single-producer/single-consumer queues: SimQueue passes values
+ * Single-producer/single-consumer queue: SimQueue passes values
  * between pipeline stages through *simulated* memory (it models the
- * DSWP produce/consume primitive), while SpscRing is a host-side
- * lock-free ring the sharded simulation engine uses to route bank
- * commands to worker threads.
+ * DSWP produce/consume primitive).
  */
 
 #ifndef HMTX_RUNTIME_QUEUE_HH
 #define HMTX_RUNTIME_QUEUE_HH
 
-#include <atomic>
-#include <bit>
-#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "runtime/signal.hh"
 #include "sim/task.hh"
 
 namespace hmtx::runtime
 {
-
-/**
- * Bounded lock-free single-producer/single-consumer ring over host
- * memory. One thread may push, one (possibly different) thread may
- * pop; indices are monotonically increasing so the full/empty
- * distinction never needs a wasted slot. Pushes publish with a
- * release store the consumer's acquire load synchronizes with, which
- * is all the ordering a SPSC ring needs.
- *
- * The producer additionally tracks the high-water occupancy it has
- * observed (a producer-side statistic, read only between epochs).
- */
-template <typename T>
-class SpscRing
-{
-  public:
-    /** @param capacity slot count; rounded up to a power of two. */
-    explicit SpscRing(std::size_t capacity)
-        : slots_(std::bit_ceil(capacity < 2 ? std::size_t{2}
-                                            : capacity)),
-          mask_(slots_.size() - 1)
-    {}
-
-    /** Producer side. Returns false when the ring is full. */
-    bool
-    tryPush(const T& v)
-    {
-        const std::size_t t = tail_.load(std::memory_order_relaxed);
-        const std::size_t h = head_.load(std::memory_order_acquire);
-        if (t - h > mask_)
-            return false;
-        slots_[t & mask_] = v;
-        tail_.store(t + 1, std::memory_order_release);
-        tail_.notify_one();
-        if (t + 1 - h > highWater_)
-            highWater_ = t + 1 - h;
-        return true;
-    }
-
-    /** Consumer side. Returns false when the ring is empty. */
-    bool
-    tryPop(T& out)
-    {
-        const std::size_t h = head_.load(std::memory_order_relaxed);
-        const std::size_t t = tail_.load(std::memory_order_acquire);
-        if (h == t)
-            return false;
-        out = slots_[h & mask_];
-        head_.store(h + 1, std::memory_order_release);
-        head_.notify_one();
-        return true;
-    }
-
-    /** Consumer side: blocks until the ring becomes non-empty. */
-    void
-    waitNonEmpty() const
-    {
-        const std::size_t h = head_.load(std::memory_order_relaxed);
-        std::size_t t = tail_.load(std::memory_order_acquire);
-        while (t == h) {
-            tail_.wait(t, std::memory_order_acquire);
-            t = tail_.load(std::memory_order_acquire);
-        }
-    }
-
-    /** Entries currently queued (racy outside the owning threads). */
-    std::size_t
-    size() const
-    {
-        return tail_.load(std::memory_order_acquire) -
-            head_.load(std::memory_order_acquire);
-    }
-
-    std::size_t capacity() const { return slots_.size(); }
-
-    /** Max occupancy ever observed by the producer. */
-    std::size_t highWater() const { return highWater_; }
-
-  private:
-    std::vector<T> slots_;
-    std::size_t mask_;
-    /** Producer-side statistic; no concurrent reader. */
-    std::size_t highWater_ = 0;
-    alignas(64) std::atomic<std::size_t> head_{0};
-    alignas(64) std::atomic<std::size_t> tail_{0};
-};
 
 class Machine;
 class ThreadContext;

@@ -15,7 +15,6 @@
 #include "core/types.hh"
 #include "sim/branch_predictor.hh"
 #include "sim/event_queue.hh"
-#include "sim/parallel_engine.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "sim/task.hh"
@@ -26,13 +25,9 @@ namespace hmtx::runtime
 class Machine;
 
 /**
- * Awaitable returned by every timed ThreadContext operation.
- *
- * Two modes: the sequential form carries the already-computed outcome
- * (the operation executed at call time) and schedules its wake-up; the
- * staged form (parallel engine, `eng` set) only parked an intent — it
- * records the suspension point with the lane and reads the outcome the
- * coordinator produced once the lane's wake turn resumes it.
+ * Awaitable returned by every timed ThreadContext operation. It
+ * carries the already-computed outcome (the operation executed at call
+ * time) and schedules its wake-up.
  */
 struct OpAwait
 {
@@ -41,10 +36,6 @@ struct OpAwait
     std::uint64_t value = 0;
     bool abort = false;
     Vid vid = 0;
-    /** Set in staged mode; the lane's retired result replaces the
-     *  inline fields above. */
-    sim::ParallelEngine* eng = nullptr;
-    std::uint32_t lane = 0;
     /** The access retired on the zero-event fast path (DESIGN.md §13):
      *  if nothing else can fire before `wake`, skip the event queue
      *  entirely and continue the coroutine without suspending. */
@@ -57,10 +48,6 @@ struct OpAwait
     bool
     await_suspend(std::coroutine_handle<> h) const
     {
-        if (eng != nullptr) {
-            eng->stageSuspend(lane, h);
-            return true;
-        }
         if (fastHint && eq->tryBypass(wake)) {
             if (fstats != nullptr)
                 ++fstats->eventBypasses;
@@ -73,12 +60,6 @@ struct OpAwait
     std::uint64_t
     await_resume() const
     {
-        if (eng != nullptr) {
-            const sim::StagedResult& r = eng->stagedResult(lane);
-            if (r.abort)
-                throw sim::TxAborted{r.vid};
-            return r.value;
-        }
         if (abort)
             throw sim::TxAborted{vid};
         return value;
@@ -154,50 +135,10 @@ class ThreadContext
     /** SLA buffer of this core. */
     const SlaUnit& slaUnit() const { return sla_; }
 
-    /**
-     * Retires one staged intent for this core's lane (parallel engine
-     * apply callback). Runs on the coordinator at the intent's own
-     * event slot and performs the operation's full effect — protocol
-     * access, predictor/RNG/SLA updates, instruction count — in the
-     * sequential engine's exact order.
-     */
-    sim::StagedResult applyStaged(const sim::LaneIntent& in);
-
-    /**
-     * Commute-aware apply, classify hook (coordinator): true when
-     * @p in would retire on the zero-event fast path for this lane's
-     * current VID. Fills the probed line and the commutativity class
-     * (the line address). No architectural side effects.
-     */
-    bool tryFastStaged(const sim::LaneIntent& in, void*& line,
-                       std::uint64_t& klass);
-
-    /**
-     * Commute-aware apply, data half (worker-safe): payload move, LRU
-     * stamp, and this lane's local counters for a classified intent.
-     */
-    sim::StagedResult fastStaged(const sim::LaneIntent& in, void* line,
-                                 Tick stamp);
-
-    /** Commute-aware apply, accounting half (coordinator, in
-     *  retirement order): the shared SysStats bumps of a fast hit. */
-    void accountFastStaged(const sim::LaneIntent& in);
-
   private:
     bool abortedSinceBegin() const;
     OpAwait abortedOp();
     void noteAddr(Addr a);
-
-    /** Engine to stage on when this lane is inside a staged section,
-     *  else null (execute inline, sequential semantics). */
-    sim::ParallelEngine* stagingEngine() const;
-
-    // Full operation effects, factored out so the sequential path and
-    // the parallel engine's in-order retirement share one body.
-    OpAwait applyLoad(Addr a, unsigned size);
-    OpAwait applyStore(Addr a, std::uint64_t v, unsigned size);
-    OpAwait applyCompute(Cycles c);
-    OpAwait applyBranch(Addr pc, bool taken);
 
     Machine& m_;
     CoreId core_;

@@ -15,20 +15,10 @@ namespace hmtx::sim
 {
 
 CacheSystem::CacheSystem(EventQueue& eq, const MachineConfig& cfg)
-    : eq_(eq), cfg_(cfg), mem_(cfg.shardBanks()), cmp_(cfg.vidBits),
-      policy_(cfg.txPolicy()), trace_(cfg.traceFlags)
+    : eq_(eq), cfg_(cfg), cmp_(cfg.vidBits), policy_(cfg.txPolicy()),
+      trace_(cfg.traceFlags)
 {
     cfg_.validate();
-    const unsigned banks = cfg.shardBanks();
-    bankMask_ = banks - 1;
-    // Worker threads only pay off with real banks, host parallelism,
-    // and no explicit opt-out; tests force them on via shardThreads.
-    const bool threaded = banks > 1 &&
-        (cfg.shardThreads >= 2 ||
-         (cfg.shardThreads == 0 &&
-          std::thread::hardware_concurrency() > 1));
-    shard_ = std::make_unique<ShardEngine>(banks, threaded);
-    overflow_.setBanks(banks);
 
     caches_.reserve(cfg.numCores + 1);
     for (CoreId c = 0; c < cfg.numCores; ++c) {
@@ -37,12 +27,9 @@ CacheSystem::CacheSystem(EventQueue& eq, const MachineConfig& cfg)
     }
     caches_.emplace_back("L2", cfg.l2Sets(), cfg.l2Assoc,
                          cfg.numCores);
-    for (auto& c : caches_)
-        c.setBanks(banks);
     // The presence mask is one bit per cache; fall back to full snoops
     // beyond 64 caches (far above any modeled configuration).
     filterEnabled_ = caches_.size() <= 64;
-    presence_.resize(banks);
     if (filterEnabled_) {
         // Pre-size for the L1 working sets so steady-state traffic
         // does not rehash; larger footprints grow amortized.
@@ -50,8 +37,7 @@ CacheSystem::CacheSystem(EventQueue& eq, const MachineConfig& cfg)
             cfg.l1Sets() * cfg.l1Assoc;
         const std::size_t total = std::min<std::size_t>(
             std::max<std::size_t>(l1Slots, 1024), 1u << 16);
-        for (auto& p : presence_)
-            p.reserve(std::max<std::size_t>(total / banks, 64));
+        presence_.reserve(total);
     }
     net_ = makeInterconnect(cfg_, stats_);
     // Fast path only under the plain HMTX policies: best-effort and
@@ -68,15 +54,14 @@ CacheSystem::CacheSystem(EventQueue& eq, const MachineConfig& cfg)
 void
 CacheSystem::presenceAdd(std::uint32_t ci, Addr la)
 {
-    presenceBank(la)[la] |= std::uint64_t{1} << ci;
+    presence_[la] |= std::uint64_t{1} << ci;
 }
 
 void
 CacheSystem::presenceRemove(std::uint32_t ci, Addr la)
 {
-    auto& bank = presenceBank(la);
-    auto it = bank.find(la);
-    if (it == bank.end())
+    auto it = presence_.find(la);
+    if (it == presence_.end())
         return; // unreachable while bookkeeping is sound
     // The mask carries no per-cache counts: rescan the (tiny) owning
     // set to learn whether another version of la keeps the bit alive.
@@ -86,7 +71,7 @@ CacheSystem::presenceRemove(std::uint32_t ci, Addr la)
             return;
     it->second &= ~(std::uint64_t{1} << ci);
     if (it->second == 0)
-        bank.erase(it);
+        presence_.erase(it);
 }
 
 void
@@ -166,9 +151,8 @@ CacheSystem::checkInvariants()
     // is disabled.
     std::unordered_set<Addr> addrs;
     if (filterEnabled_) {
-        for (const auto& bank : presence_)
-            for (const auto& [la, p] : bank)
-                addrs.insert(la);
+        for (const auto& [la, p] : presence_)
+            addrs.insert(la);
     } else {
         for (auto& c : caches_) {
             c.forEachLine([&](Line& l) {
@@ -287,9 +271,7 @@ CacheSystem::verifyIndexes()
         });
     }
     if (filterEnabled_) {
-        std::size_t tracked = 0;
-        for (const auto& bank : presence_)
-            tracked += bank.size();
+        const std::size_t tracked = presence_.size();
         if (want.size() != tracked) {
             throw std::logic_error(
                 "index check: presence filter tracks " +
@@ -297,9 +279,8 @@ CacheSystem::verifyIndexes()
                 std::to_string(want.size()));
         }
         for (const auto& [la, mask] : want) {
-            auto& bank = presenceBank(la);
-            auto it = bank.find(la);
-            if (it == bank.end()) {
+            auto it = presence_.find(la);
+            if (it == presence_.end()) {
                 throw std::logic_error(
                     "index check: cached address missing from the "
                     "presence filter");
@@ -312,8 +293,7 @@ CacheSystem::verifyIndexes()
     }
     // Registries may hold stale (no longer in-class) entries, but
     // every entry must be flagged and unique within its class so lazy
-    // purging stays linear. Entries must also sit on the bank owning
-    // their slot's set, or concurrent bank walks would race.
+    // purging stays linear.
     for (auto& c : caches_) {
         std::unordered_set<const Line*> seenSpec, seenDirty;
         c.forEachSpecRegistryEntry([&](const Line* l) {

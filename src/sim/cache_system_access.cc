@@ -1048,48 +1048,10 @@ CacheSystem::fastProbe(CoreId core, Addr a, Vid vid, bool isStore)
 }
 
 /**
- * Data half of a fast retirement: the only line mutations (payload
- * bytes + LRU stamp). Pure payload moves via dataOf — safe to run on
- * an engine worker thread when the commute-aware apply batches
- * accesses on distinct banks (distinct banks imply distinct lines and
- * payload planes).
- */
-std::uint64_t
-CacheSystem::fastData(Line& l, Addr a, std::uint64_t value,
-                      unsigned size, bool isStore, Tick stamp)
-{
-    l.lastUse = stamp;
-    if (isStore) {
-        writeData(l, a, value, size);
-        return 0;
-    }
-    return readData(l, a, size);
-}
-
-/**
- * Accounting half of a fast retirement: exactly the SysStats bumps the
- * full path performs on the corresponding pure hit. Coordinator-only.
- */
-void
-CacheSystem::fastAccount(bool isStore, bool spec)
-{
-    if (isStore) {
-        ++stats_.stores;
-        if (spec)
-            ++stats_.specStores;
-        ++fastStats_.storeHits;
-    } else {
-        ++stats_.loads;
-        if (spec)
-            ++stats_.specLoads;
-        ++fastStats_.loadHits;
-    }
-    ++stats_.l1Hits;
-}
-
-/**
- * Complete inline fast access: probe, data, accounting. Returns true
- * and fills `r` when the access retired on the fast path.
+ * Complete inline fast access: probe, then exactly the payload move,
+ * LRU stamp and SysStats bumps the full path performs on the
+ * corresponding pure hit. Returns true and fills `r` when the access
+ * retired on the fast path.
  */
 bool
 CacheSystem::fastAccess(CoreId core, Addr a, std::uint64_t value,
@@ -1099,11 +1061,25 @@ CacheSystem::fastAccess(CoreId core, Addr a, std::uint64_t value,
     Line* l = fastProbe(core, a, vid, isStore);
     if (!l)
         return false;
-    r.value = fastData(*l, a, value, size, isStore, ++useClock_);
+    l->lastUse = ++useClock_;
+    const bool spec = fastEffVid(vid) != kNonSpecVid;
+    if (isStore) {
+        writeData(*l, a, value, size);
+        ++stats_.stores;
+        if (spec)
+            ++stats_.specStores;
+        ++fastStats_.storeHits;
+    } else {
+        r.value = readData(*l, a, size);
+        ++stats_.loads;
+        if (spec)
+            ++stats_.specLoads;
+        ++fastStats_.loadHits;
+    }
+    ++stats_.l1Hits;
     r.latency = cfg_.l1Latency;
     r.l1Hit = true;
     r.fastHit = true;
-    fastAccount(isStore, fastEffVid(vid) != kNonSpecVid);
     return true;
 }
 

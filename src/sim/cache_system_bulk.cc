@@ -63,15 +63,15 @@ CacheSystem::commit(Vid vid)
         // a full cache walk would cost one cycle per cache line,
         // >500k cycles per commit with Table 2's 32 MB L2. The walk
         // occupies the memory system, stalling every core's misses.
-        WalkScratch agg = shardedWalk(
+        WalkCounts agg = bulkWalk(
             OvPhase::None, WalkClass::Spec,
-            [&](Line& l, WalkScratch& s) {
+            [&](Line& l, WalkCounts& w) {
                 if (isSpec(l.state)) {
-                    ++s.n[0];
+                    ++w.n[0];
                     reconcile(l);
                 }
             },
-            [](Line&, LineData&, WalkScratch&) {});
+            [](Line&, LineData&, WalkCounts&) {});
         cost += agg.n[0] * cfg_.eagerPerLineCycles;
         net_->occupy(eq_.curTick(), cost);
     }
@@ -89,16 +89,16 @@ CacheSystem::abortAll()
     // and committed lines — the only other tag carriers — are exactly
     // the lines an abort leaves untouched.
     ++stats_.aborts;
-    WalkScratch agg = shardedWalk(
+    WalkCounts agg = bulkWalk(
         OvPhase::AfterLines, WalkClass::Spec,
-        [&](Line& l, WalkScratch& s) {
+        [&](Line& l, WalkCounts& w) {
             if (!isSpec(l.state))
                 return; // dirty committed lines survive aborts
-            ++s.n[0];
+            ++w.n[0];
             applyView(l, abortVersion(viewOf(l), lcVid_));
             syncLine(l);
         },
-        [&](Line& l, LineData& d, WalkScratch& s) {
+        [&](Line& l, LineData& d, WalkCounts& w) {
             LineTransition tr =
                 commitLine(l.state, l.tag, lcVid_, l.dirty);
             tr = abortLine(tr.state, tr.tag, lcVid_, l.dirty);
@@ -107,7 +107,7 @@ CacheSystem::abortAll()
                 // into memory rather than keeping a nonspec entry
                 // spilled.
                 mem_.writeLine(l.base, d);
-                ++s.n[1];
+                ++w.n[1];
             }
             l.state = State::Invalid;
             l.tag = {};
@@ -142,9 +142,9 @@ CacheSystem::vidReset()
         throw std::logic_error(
             "vidReset with outstanding uncommitted transactions");
     }
-    WalkScratch agg = shardedWalk(
+    WalkCounts agg = bulkWalk(
         OvPhase::BeforeLines, WalkClass::Spec,
-        [&](Line& l, WalkScratch& s) {
+        [&](Line& l, WalkCounts& w) {
             // Spec walk: plain dirty committed lines stay cached and
             // dirty across the reset (reconcile would be a no-op on
             // them), so only speculative lines need visiting.
@@ -152,10 +152,10 @@ CacheSystem::vidReset()
             if (isSpec(l.state)) {
                 applyView(l, resetVersion(viewOf(l)));
                 syncLine(l);
-                ++s.n[0];
+                ++w.n[0];
             }
         },
-        [&](Line& l, LineData& d, WalkScratch& s) {
+        [&](Line& l, LineData& d, WalkCounts& w) {
             reconcile(l);
             if (l.state == State::Invalid)
                 return;
@@ -164,7 +164,7 @@ CacheSystem::vidReset()
             // memory.
             if (l.dirty && !isSpecSuperseded(l.state)) {
                 mem_.writeLine(l.base, d);
-                ++s.n[1];
+                ++w.n[1];
             }
             l.state = State::Invalid;
         });
@@ -183,9 +183,9 @@ void
 CacheSystem::flushDirtyToMemory()
 {
     ++fastGen_; // VID recycling / bulk rewrite: retire all fast tags
-    WalkScratch agg = shardedWalk(
+    WalkCounts agg = bulkWalk(
         OvPhase::BeforeLines, WalkClass::SpecAndDirty,
-        [&](Line& l, WalkScratch& s) {
+        [&](Line& l, WalkCounts& w) {
             // Union walk: a spec+dirty line appears via both class
             // registries; the second visit sees it already reconciled
             // and written back (clean), so the body is idempotent.
@@ -197,14 +197,14 @@ CacheSystem::flushDirtyToMemory()
             if (!isSpec(l.state) && l.dirty) {
                 mem_.writeLine(l.base, dataOf(l));
                 l.dirty = false;
-                ++s.n[0];
+                ++w.n[0];
                 l.state = l.state == State::Modified
                     ? State::Exclusive
                     : State::Shared;
                 syncLine(l);
             }
         },
-        [&](Line& l, LineData& d, WalkScratch& s) {
+        [&](Line& l, LineData& d, WalkCounts& w) {
             reconcile(l);
             if (l.state == State::Invalid)
                 return;
@@ -212,7 +212,7 @@ CacheSystem::flushDirtyToMemory()
                 // The spilled version retired: its data is committed.
                 if (l.dirty) {
                     mem_.writeLine(l.base, d);
-                    ++s.n[0];
+                    ++w.n[0];
                 }
                 l.state = State::Invalid;
             }

@@ -30,18 +30,6 @@ enum class Fabric
 };
 
 /**
- * Event-loop engine driving the simulation (DESIGN.md §11). Both
- * engines produce bit-identical results; the parallel engine stages
- * workload code on host worker threads while the protocol state is
- * still mutated in exact event order on the coordinator.
- */
-enum class SimEngine
-{
-    Sequential,
-    Parallel,
-};
-
-/**
  * Architectural configuration, defaulted to Table 2: a 4-core 2.0 GHz
  * machine with 64 KB 8-way L1s (2-cycle), a shared 32 MB 32-way L2
  * (40-cycle), 64 B lines, MOESI, and 200-cycle memory.
@@ -174,51 +162,6 @@ struct MachineConfig
     bool indexCrossCheck = false;
 
     /**
-     * Sharded simulation engine (simulator-side, not architectural):
-     * requested number of address-hashed banks the directory slices,
-     * main memory, the overflow table, and the per-cache spec-line
-     * registries are partitioned into. Bulk protocol operations
-     * (commit walks, global aborts, VID resets, flushes) then run
-     * bank-parallel behind deterministic epoch barriers. The value is
-     * clamped to the largest power of two that divides both cache set
-     * counts (see shardBanks()), so a cache slot's set decides its
-     * bank once and for all and slots never migrate between banks.
-     * 1 = classic single-banked engine. Simulated behaviour (stats,
-     * timings, memory images) is bit-identical for every value.
-     */
-    unsigned shards = 1;
-
-    /**
-     * Worker threading for the sharded engine: 0 = auto (dedicated
-     * worker threads when more than one bank is configured and the
-     * host has more than one CPU), 1 = always inline on the calling
-     * thread (banked data structures, sequential walks), >=2 = force
-     * dedicated worker threads (one per bank) regardless of host CPU
-     * count — used by tests to exercise the concurrent paths.
-     */
-    unsigned shardThreads = 0;
-
-    /**
-     * Event-loop engine (DESIGN.md §11). Sequential is the classic
-     * single-threaded loop; Parallel stages per-core workload code on
-     * host workers inside a same-tick dispatch window and retires the
-     * resulting protocol accesses in exact event order, so results are
-     * bit-identical for either value.
-     */
-    SimEngine engine = SimEngine::Sequential;
-
-    /**
-     * Worker threading for the parallel engine, mirroring the
-     * shardThreads convention: 0 = auto (worker threads when the host
-     * has more than one CPU, clamped to min(numCores, host CPUs)),
-     * 1 = always inline on the coordinator thread (same staging and
-     * retirement order, no host threads), >=2 = force that many worker
-     * threads (clamped to numCores) regardless of host CPU count —
-     * used by tests to exercise the concurrent paths.
-     */
-    unsigned engineThreads = 0;
-
-    /**
      * Zero-event hit fast path (DESIGN.md §13, simulator-side): a
      * guarded inline path retires an access without probing the full
      * protocol machinery — and, under the runtime, without scheduling
@@ -231,18 +174,6 @@ struct MachineConfig
      * enable it explicitly.
      */
     bool fastPath = false;
-
-    /**
-     * Commute-aware apply for the parallel engine (DESIGN.md §13):
-     * when the ready prefix of staged intents contains several
-     * fast-path-eligible accesses on pairwise-distinct banks (the §9
-     * address partition), the coordinator applies their data halves
-     * concurrently on the existing host workers instead of strictly
-     * one at a time; any intent that misses, conflicts, or shares a
-     * bank with an earlier one falls back to the exact sequential
-     * order. Inert unless fastPath is set and engine == Parallel.
-     */
-    bool applyCommute = true;
 
     /** Largest usable VID for this configuration. */
     Vid maxVid() const { return (Vid{1} << vidBits) - 1; }
@@ -272,13 +203,6 @@ struct MachineConfig
                 "capacity-bounded txMode (best-effort / limited-set "
                 "exist to model machines *without* the overflow "
                 "table); disable one of the two");
-        if (bounded && engine == SimEngine::Parallel)
-            throw std::invalid_argument(
-                "MachineConfig: engine=Parallel is not supported with "
-                "the best-effort/limited-set modes: the staged engine "
-                "pre-issues lane accesses that the fallback lock and "
-                "the K bound must observe in exact order; use the "
-                "sequential engine for these cells");
     }
 
     /** Number of sets in the L1. */
@@ -293,26 +217,6 @@ struct MachineConfig
     l2Sets() const
     {
         return l2SizeKB * 1024 / kLineBytes / l2Assoc;
-    }
-
-    /**
-     * Effective bank count of the sharded engine: the largest power of
-     * two that is <= max(shards, 1) and divides both l1Sets() and
-     * l2Sets(). The divisibility constraint pins every cache set — and
-     * therefore every slot — to one bank for the lifetime of the run,
-     * which is what keeps the per-bank registries stable under slot
-     * reuse.
-     */
-    unsigned
-    shardBanks() const
-    {
-        unsigned b = 1;
-        const unsigned want = shards == 0 ? 1 : shards;
-        while (b * 2 <= want && l1Sets() % (b * 2) == 0 &&
-               l2Sets() % (b * 2) == 0) {
-            b *= 2;
-        }
-        return b;
     }
 };
 

@@ -43,23 +43,6 @@ class EventQueue
   public:
     using Callback = std::function<void()>;
 
-    /** Lane tag of events that belong to no parallel-engine lane. */
-    static constexpr std::uint32_t kNoLane = ~std::uint32_t{0};
-
-    /**
-     * One due event, moved out of the queue by popNext(). `h` is set
-     * for coroutine resumptions, `fn` for boxed callbacks, and `lane`
-     * for parallel-engine lane turns (h and fn both empty); exactly
-     * one of the three is meaningful.
-     */
-    struct Popped
-    {
-        Tick when = 0;
-        std::uint32_t lane = kNoLane;
-        std::coroutine_handle<> h;
-        std::unique_ptr<Callback> fn;
-    };
-
     /** Current simulated time. */
     Tick curTick() const { return now_; }
 
@@ -110,41 +93,6 @@ class EventQueue
     }
 
     /**
-     * Schedules a parallel-engine lane turn at absolute tick @p when.
-     * Lane events carry no handle or callback: the parallel engine
-     * pops them with popNext() and dispatches the lane itself. They
-     * must never reach step().
-     */
-    void
-    scheduleLane(Tick when, std::uint32_t lane)
-    {
-        push(Event{when, seq_++, {}, {}, lane});
-    }
-
-    /**
-     * Moves the next event out of the queue without executing it,
-     * advancing simulated time exactly as step() would. Used by the
-     * parallel engine, which needs to see lane tags and control
-     * execution order itself.
-     * @return false if the queue was empty
-     */
-    bool
-    popNext(Popped& out)
-    {
-        if (!advance())
-            return false;
-        auto& b = wheel_[bucketOf(now_)];
-        Event ev = std::move(b[drainIdx_++]);
-        --wheelCount_;
-        ++executed_;
-        out.when = ev.when;
-        out.lane = ev.lane;
-        out.h = ev.h;
-        out.fn = std::move(ev.fn);
-        return true;
-    }
-
-    /**
      * Zero-event time advance (DESIGN.md §13): jump simulated time to
      * @p wake without allocating, scheduling, or executing an event,
      * exactly as if a resumption had been scheduled at @p wake and
@@ -176,10 +124,7 @@ class EventQueue
         return true;
     }
 
-    /**
-     * Tick of the next pending event. @pre pending() != 0
-     * (Public for the parallel engine's dispatch-horizon check.)
-     */
+    /** Tick of the next pending event. @pre pending() != 0 */
     Tick
     nextWhen() const
     {
@@ -245,7 +190,6 @@ class EventQueue
         std::uint64_t seq;
         std::coroutine_handle<> h;    // set → resume directly
         std::unique_ptr<Callback> fn; // otherwise the boxed callback
-        std::uint32_t lane = kNoLane; // otherwise a lane turn
 
         bool
         operator>(const Event& o) const

@@ -57,13 +57,6 @@ class SnoopBus final : public Interconnect
 
     Cycles transferLatency() const override { return cfg_.l2Latency; }
 
-    Cycles
-    minC2CLatency() const override
-    {
-        // Nothing crosses cores faster than one bus arbitration.
-        return cfg_.busCycles;
-    }
-
     void
     occupy(Tick now, Cycles cycles) override
     {
@@ -144,14 +137,6 @@ class DirectoryFabric final : public Interconnect
         // Three-hop miss: requester -> directory -> owner ->
         // requester (the lookup itself is charged by acquire()).
         return 2 * cfg_.dirHop;
-    }
-
-    Cycles
-    minC2CLatency() const override
-    {
-        // Any cross-core observation needs at least one hop to the
-        // line's home directory bank.
-        return cfg_.dirHop;
     }
 
     void

@@ -122,15 +122,6 @@ class Interconnect
     /** Remote-owner to requester transfer latency. */
     virtual Cycles transferLatency() const = 0;
 
-    /**
-     * Minimum core-to-core latency of this fabric: the fewest cycles
-     * any coherence action by one core needs before another core can
-     * observe it (bus arbitration delay / one directory hop). The
-     * parallel engine (DESIGN.md §11) uses it as the accounting window
-     * for its barrier cadence and sim.parallel.* telemetry.
-     */
-    virtual Cycles minC2CLatency() const = 0;
-
     /** Occupies the fabric for @p cycles of bulk protocol walk. */
     virtual void occupy(Tick now, Cycles cycles) = 0;
 

@@ -9,7 +9,6 @@
 #include <array>
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "core/types.hh"
 
@@ -25,50 +24,22 @@ using LineData = std::array<std::uint8_t, kLineBytes>;
  * versions live in the caches until their transaction commits (the one
  * exception, §5.4, writes back *non-speculative* S-O data, which is by
  * definition committed).
- *
- * Storage is partitioned into address-hashed banks (power-of-two
- * count) so the sharded simulation engine's bulk writeback walks can
- * touch disjoint banks from concurrent workers. With one bank this is
- * exactly the classic single-map layout.
  */
 class MainMemory
 {
   public:
-    explicit MainMemory(unsigned banks = 1)
-        : banks_(banks < 1 ? 1 : banks), mask_(banks_.size() - 1)
-    {}
-
-    /**
-     * Re-partitions into @p banks banks (power of two). Only legal
-     * while the memory is untouched: the owning system sizes the
-     * banking once at construction, before any traffic.
-     */
-    void
-    setBanks(unsigned banks)
-    {
-        banks_.assign(banks < 1 ? 1 : banks, {});
-        mask_ = banks_.size() - 1;
-    }
-
-    /** Bank index owning address @p a. */
-    std::size_t
-    bankOf(Addr a) const
-    {
-        return static_cast<std::size_t>((a >> kLineShift) & mask_);
-    }
-
     /** Reads a full line. */
     const LineData&
     readLine(Addr a)
     {
-        return bank(a)[lineAddr(a)];
+        return lines_[lineAddr(a)];
     }
 
     /** Writes a full line. */
     void
     writeLine(Addr a, const LineData& d)
     {
-        bank(a)[lineAddr(a)] = d;
+        lines_[lineAddr(a)] = d;
     }
 
     /**
@@ -78,7 +49,7 @@ class MainMemory
     std::uint64_t
     read(Addr a, unsigned size)
     {
-        const LineData& d = bank(a)[lineAddr(a)];
+        const LineData& d = lines_[lineAddr(a)];
         std::uint64_t v = 0;
         unsigned off = lineOffset(a);
         for (unsigned i = 0; i < size; ++i)
@@ -90,61 +61,39 @@ class MainMemory
     void
     write(Addr a, std::uint64_t v, unsigned size)
     {
-        LineData& d = bank(a)[lineAddr(a)];
+        LineData& d = lines_[lineAddr(a)];
         unsigned off = lineOffset(a);
         for (unsigned i = 0; i < size; ++i)
             d[off + i] = static_cast<std::uint8_t>(v >> (8 * i));
     }
 
     /** Number of lines ever touched. */
-    std::size_t
-    touchedLines() const
-    {
-        std::size_t n = 0;
-        for (const auto& b : banks_)
-            n += b.size();
-        return n;
-    }
+    std::size_t touchedLines() const { return lines_.size(); }
 
     /**
-     * Pre-sizes the backing tables for at least @p n lines in total.
-     * While a bank holds capacity for every key it receives, inserts
-     * will not rehash, so references and iterators stay valid — bulk
-     * writers use this to insert while a forEachLine() walk is in
-     * flight. Each bank reserves the full @p n since the address
-     * spread across banks is workload-dependent.
+     * Pre-sizes the backing table for at least @p n lines. While it
+     * holds capacity for every key it receives, inserts will not
+     * rehash, so references and iterators stay valid — bulk writers
+     * use this to insert while a forEachLine() walk is in flight.
      */
-    void
-    reserveLines(std::size_t n)
-    {
-        for (auto& b : banks_)
-            b.reserve(n);
-    }
+    void reserveLines(std::size_t n) { lines_.reserve(n); }
 
     /**
-     * Applies @p fn(lineAddr, data) to every touched line, bank by
-     * bank in ascending bank order. Iteration order within a bank is
-     * the unordered_map's; callers that compare images must not depend
-     * on order (the differential tests collect into sorted maps).
+     * Applies @p fn(lineAddr, data) to every touched line. Iteration
+     * order is the unordered_map's; callers that compare images must
+     * not depend on order (the differential tests collect into sorted
+     * maps).
      */
     template <typename Fn>
     void
     forEachLine(Fn&& fn) const
     {
-        for (const auto& b : banks_)
-            for (const auto& [a, d] : b)
-                fn(a, d);
+        for (const auto& [a, d] : lines_)
+            fn(a, d);
     }
 
   private:
-    std::unordered_map<Addr, LineData>&
-    bank(Addr a)
-    {
-        return banks_[bankOf(a)];
-    }
-
-    std::vector<std::unordered_map<Addr, LineData>> banks_;
-    std::size_t mask_;
+    std::unordered_map<Addr, LineData> lines_;
 };
 
 } // namespace hmtx::sim

@@ -9,7 +9,6 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <vector>
 
 #include "core/types.hh"
 
@@ -171,97 +170,8 @@ struct IndexStats
 };
 
 /**
- * Diagnostics for the sharded simulation engine (bank-partitioned
- * bulk walks). Like IndexStats these are simulator-side — they count
- * how the simulator organized its own work, never what the simulated
- * machine did — and are excluded from the differential-equality
- * comparisons: runs with different shard counts are bit-identical in
- * SysStats but naturally differ here.
- */
-struct ShardStats
-{
-    /** Effective bank count (after the power-of-two clamp). */
-    std::uint64_t banks = 1;
-    /** True when dedicated worker threads drain the bank rings. */
-    bool threaded = false;
-    /** Epoch barriers executed (one per bulk protocol operation). */
-    std::uint64_t epochs = 0;
-    /** Per-bank commands routed through the SPSC rings. */
-    std::vector<std::uint64_t> bankCmds;
-    /** Max SPSC ring occupancy ever observed. */
-    std::uint64_t ringHighWater = 0;
-    /** Pushes that found a bank ring full and had to retry. */
-    std::uint64_t pushStalls = 0;
-    /** Epoch barriers where the coordinator actually blocked. */
-    std::uint64_t barrierStalls = 0;
-
-    /** Total commands routed across all banks. */
-    std::uint64_t
-    totalCmds() const
-    {
-        std::uint64_t n = 0;
-        for (std::uint64_t c : bankCmds)
-            n += c;
-        return n;
-    }
-};
-
-/**
- * Diagnostics for the parallel event engine (DESIGN.md §11). Like
- * ShardStats these are simulator-side — they describe how the host
- * organized the work, never what the simulated machine did — and are
- * excluded from differential-equality comparisons: sequential and
- * parallel runs are bit-identical in SysStats but differ here.
- */
-struct ParStats
-{
-    /** Host worker threads staging lane code (0 = inline mode). */
-    std::uint64_t workers = 0;
-    /** True when dedicated worker threads stage the lanes. */
-    bool threaded = false;
-    /** Accounting windows executed (min-c2c-latency ticks each). */
-    std::uint64_t windows = 0;
-    /** Events popped from the queue (lane turns + executor events). */
-    std::uint64_t events = 0;
-    /** Lane turns dispatched to workers for staging. */
-    std::uint64_t laneEvents = 0;
-    /** Staged sections opened (one per workload stage invocation). */
-    std::uint64_t sections = 0;
-    /** Staged memory-op intents retired in event order. */
-    std::uint64_t intents = 0;
-    /** Retirements where the coordinator blocked on a worker. */
-    std::uint64_t barrierStalls = 0;
-    /** Speculative rollbacks — always 0: the engine is conservative
-     *  (it never executes an access out of order, so it never has to
-     *  undo one); reported to make that confirmation visible. */
-    std::uint64_t rollbacks = 0;
-
-    // Commute-aware apply (DESIGN.md §13). A "batch" is a ready
-    // prefix of >= 2 fast-path-eligible intents on pairwise-distinct
-    // banks whose data halves were applied concurrently.
-    /** Concurrent-retire batches executed. */
-    std::uint64_t commuteBatches = 0;
-    /** Intents applied inside those batches. */
-    std::uint64_t commuteApplied = 0;
-    /** Ready intents excluded from a batch by a bank collision with
-     *  an earlier batch member. */
-    std::uint64_t commuteConflicts = 0;
-    /** Ready intents that fell back to the exact sequential retire
-     *  order (miss, protocol action required, or ineligible kind). */
-    std::uint64_t commuteSerialFallbacks = 0;
-
-    /** Mean popped events per accounting window. */
-    double
-    eventsPerWindow() const
-    {
-        return windows == 0 ? 0.0
-                            : double(events) / double(windows);
-    }
-};
-
-/**
  * Diagnostics for the zero-event hit fast path (DESIGN.md §13). Like
- * ParStats these are simulator-side: the fast path retires an access
+ * IndexStats these are simulator-side: the fast path retires an access
  * with identical architectural effects to the full path, so runs with
  * the fast path on and off are bit-identical in SysStats but differ
  * here.

@@ -48,13 +48,6 @@ namespace detail
  * Freed frames are kept in per-size free lists and handed back to the
  * next coroutine of the same size. The pool is per-thread and only
  * ever as large as the peak number of simultaneously live frames.
- *
- * Thread convention (PR 3 / parallel engine): a frame's storage comes
- * from ::operator new, so releasing it into a *different* thread's
- * free list is safe — the block is simply recycled (and eventually
- * deleted) by that thread. The parallel engine's static lane-to-worker
- * map keeps the common alloc/free pairs on one thread anyway; only
- * abnormal teardown of a suspended lane crosses threads.
  */
 class FramePool
 {
@@ -183,16 +176,6 @@ class Task
 
     using Handle = std::coroutine_handle<promise_type>;
 
-    /** Raw handle; the parallel engine resumes staged tasks itself. */
-    std::coroutine_handle<> handle() const { return handle_; }
-
-    /** Sets the completion continuation without starting the task. */
-    void
-    setContinuation(std::coroutine_handle<> c)
-    {
-        handle_.promise().continuation = c;
-    }
-
     Task() = default;
     explicit Task(Handle h) : handle_(h) {}
     Task(Task&& o) noexcept : handle_(std::exchange(o.handle_, {})) {}
@@ -279,16 +262,6 @@ class Task<void>
     };
 
     using Handle = std::coroutine_handle<promise_type>;
-
-    /** Raw handle; the parallel engine resumes staged tasks itself. */
-    std::coroutine_handle<> handle() const { return handle_; }
-
-    /** Sets the completion continuation without starting the task. */
-    void
-    setContinuation(std::coroutine_handle<> c)
-    {
-        handle_.promise().continuation = c;
-    }
 
     Task() = default;
     explicit Task(Handle h) : handle_(h) {}

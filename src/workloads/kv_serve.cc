@@ -22,6 +22,7 @@
 #include "sim/cache_system.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
+#include "workloads/lane_clock.hh"
 
 namespace hmtx::workloads
 {
@@ -98,50 +99,6 @@ struct CoreLane
     std::uint64_t genClock = 0;
     /** Requests left in the current heavy-tailed ON period. */
     std::uint64_t onLeft = 0;
-};
-
-/** Per-core lane clocks with global synchronization points. */
-class LaneClock
-{
-  public:
-    explicit LaneClock(unsigned cores) : t_(cores, 0) {}
-
-    std::uint64_t
-    maxT() const
-    {
-        std::uint64_t m = 0;
-        for (std::uint64_t v : t_)
-            m = std::max(m, v);
-        return m;
-    }
-
-    std::uint64_t at(unsigned core) const { return t_[core]; }
-
-    void local(unsigned core, std::uint64_t cyc) { t_[core] += cyc; }
-
-    /** Waits the core out until @p when (idle gap returned). */
-    std::uint64_t
-    waitUntil(unsigned core, std::uint64_t when)
-    {
-        if (t_[core] >= when)
-            return 0;
-        const std::uint64_t idle = when - t_[core];
-        t_[core] = when;
-        return idle;
-    }
-
-    /** Global event (commit, abort, serialized access): every lane
-     *  waits for the slowest, then all advance together. */
-    void
-    global(std::uint64_t cyc)
-    {
-        const std::uint64_t m = maxT() + cyc;
-        for (std::uint64_t& v : t_)
-            v = m;
-    }
-
-  private:
-    std::vector<std::uint64_t> t_;
 };
 
 class Engine

@@ -40,8 +40,7 @@ LinkedListWorkload::stage1(runtime::MemIf& mem, std::uint64_t iter)
     // order_ mirrors the link order (setup chains nodes[i] ->
     // nodes[i+1]), so indexing it is value-identical to chasing a
     // loop-carried cursor — and leaves the stage body free of host
-    // state, which lets the parallel engine stage it off-thread and
-    // keeps abort recovery trivially consistent.
+    // state, which keeps abort recovery trivially consistent.
     Addr node = order_[iter];
     // Publish the node to stage 2 through versioned memory (Fig. 3b:
     // "producedNode = node").

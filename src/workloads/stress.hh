@@ -75,9 +75,9 @@ class StressWorkload : public ChasedListWorkload
     IterRegion scratch_;
     IterRegion results_;
     std::set<std::uint64_t> conflictIters_;
-    /** One fired flag per iteration (pre-sized in setup: stage bodies
-     *  may run on parallel-engine workers, so they only ever touch
-     *  their own iteration's element — never the container shape). */
+    /** One fired flag per iteration (pre-sized in setup, so stage
+     *  bodies only ever touch their own iteration's element — never
+     *  the container shape). */
     std::vector<char> fired_;
 };
 

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
 #include "core/version_rules.hh"
 
 namespace hmtx
@@ -232,33 +235,42 @@ TEST(ResetLine, SupersededVersionsDie)
               (LineTransition{State::Invalid, {}}));
 }
 
+const State kSpecStates[] = {State::SpecShared, State::SpecExclusive,
+                             State::SpecOwned, State::SpecModified};
+
+/** (index into kSpecStates, modVID, highVID) */
+using SpecTag = std::tuple<int, Vid, Vid>;
+
 /**
- * Property: for every speculative state and tag combination, commit
- * with c >= high always produces a non-speculative state, and abort
- * never leaves speculative state behind.
+ * Every valid speculative (state, modVID, highVID) triple over a few
+ * VIDs: modVID never exceeds highVID, and S-E always has modVID 0.
  */
-class TransitionSweep
-    : public ::testing::TestWithParam<std::tuple<int, Vid, Vid>>
+std::vector<SpecTag>
+validSpecTags()
 {
-  protected:
-    static State
-    stateOf(int i)
-    {
-        static const State states[] = {
-            State::SpecShared, State::SpecExclusive, State::SpecOwned,
-            State::SpecModified};
-        return states[i];
-    }
-};
+    std::vector<SpecTag> out;
+    const Vid vids[] = {0, 1, 3, 7};
+    for (int si = 0; si < 4; ++si)
+        for (Vid m : vids)
+            for (Vid h : vids)
+                if (m <= h &&
+                    (kSpecStates[si] != State::SpecExclusive || m == 0))
+                    out.emplace_back(si, m, h);
+    return out;
+}
+
+/**
+ * Property: for every valid speculative state and tag combination,
+ * commit with c >= high always produces a non-speculative state, and
+ * abort never leaves speculative state behind.
+ */
+class TransitionSweep : public ::testing::TestWithParam<SpecTag>
+{};
 
 TEST_P(TransitionSweep, CommitAtHighRetires)
 {
     auto [si, m, h] = GetParam();
-    State st = stateOf(si);
-    if (st == State::SpecExclusive && m != 0)
-        GTEST_SKIP() << "S-E always has modVID 0";
-    if (m > h)
-        GTEST_SKIP() << "modVID never exceeds highVID";
+    State st = kSpecStates[si];
     LineTransition t = commitLine(st, {m, h}, h, true);
     EXPECT_FALSE(isSpec(t.state))
         << stateName(st) << "(" << m << "," << h << ")";
@@ -267,11 +279,7 @@ TEST_P(TransitionSweep, CommitAtHighRetires)
 TEST_P(TransitionSweep, AbortLeavesNoSpeculativeState)
 {
     auto [si, m, h] = GetParam();
-    State st = stateOf(si);
-    if (st == State::SpecExclusive && m != 0)
-        GTEST_SKIP();
-    if (m > h)
-        GTEST_SKIP();
+    State st = kSpecStates[si];
     for (Vid c : {Vid{0}, Vid{1}, Vid{3}, Vid{7}}) {
         LineTransition t = abortLine(st, {m, h}, c, true);
         EXPECT_FALSE(isSpec(t.state));
@@ -279,11 +287,8 @@ TEST_P(TransitionSweep, AbortLeavesNoSpeculativeState)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllSpecStates, TransitionSweep,
-    ::testing::Combine(::testing::Range(0, 4),
-                       ::testing::Values<Vid>(0, 1, 3, 7),
-                       ::testing::Values<Vid>(0, 1, 3, 7)));
+INSTANTIATE_TEST_SUITE_P(AllSpecStates, TransitionSweep,
+                         ::testing::ValuesIn(validSpecTags()));
 
 } // namespace
 } // namespace hmtx

@@ -7,7 +7,7 @@
  *   hmtx_fuzz --replay FILE [--shrink]
  *
  * Batch mode generates N schedules from consecutive seeds and runs
- * each against the golden model across the 6-cell config matrix. On
+ * each against the golden model across the 8-cell config matrix. On
  * the first divergence it ddmin-shrinks the schedule, writes the
  * minimal replay file (to --corpus-out if given, else the cwd), prints
  * it, and exits nonzero. On success it prints a coverage summary so CI
@@ -269,7 +269,8 @@ main(int argc, char **argv)
             if (s.omittedKnobs & kOmitEngineThreads)
                 std::cerr << " enginethreads="
                           << s.cfg.engineThreads[0] << ","
-                          << s.cfg.engineThreads[1];
+                          << s.cfg.engineThreads[1]
+                          << " (legacy field, no cell reads it)";
             if (s.omittedKnobs & kOmitBtx)
                 std::cerr << " btxRetries=" << s.cfg.btxRetries
                           << " btxThreshold=" << s.cfg.btxThreshold;

@@ -75,6 +75,35 @@ TEST(ScheduleParse, RoundTripFuzzSchedules)
     }
 }
 
+/** FNV-1a-64 of @p s. */
+std::uint64_t
+fnv1a(const std::string& s)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** generate() is a pure function of (seed, ops) on every host: CI
+ *  fuzz seeds must name the same schedules wherever they run. The
+ *  constants were captured from the generator as it ran on a 4-CPU
+ *  host before it stopped reading the host's CPU count. */
+TEST(ScheduleParse, GenerateIsHostIndependent)
+{
+    const std::pair<std::uint64_t, std::uint64_t> pinned[] = {
+        {1, 0x9c01c169bbe4da51ull},      {2, 0xbdf28f8abf9c32a9ull},
+        {7, 0x90a8fe26700e5762ull},      {42, 0x31031f7d4a64bc24ull},
+        {1000, 0x16d50a582f2fb31cull},   {500001, 0xfe49dde7cb573630ull},
+        {900001, 0xd6242d958d3625bfull},
+    };
+    for (const auto& [seed, hash] : pinned)
+        EXPECT_EQ(fnv1a(serialize(generate(seed, 160))), hash)
+            << "seed " << seed;
+}
+
 TEST(ScheduleParse, RoundTripPrograms)
 {
     for (std::uint64_t seed = 1; seed <= 30; ++seed) {

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <thread>
 #include <vector>
 
 #include "runtime/machine.hh"
@@ -115,81 +114,6 @@ TEST(SimQueue, GeneratesCoherenceTraffic)
     m.spawn(consumer(m, q, 16, out));
     m.run();
     EXPECT_GT(m.sys().stats().busTxns, 8u);
-}
-
-// --- host-side SPSC ring (sharded-engine command transport) -------------
-
-TEST(SpscRing, CapacityRoundsUpToPowerOfTwo)
-{
-    SpscRing<int> r(5);
-    EXPECT_EQ(r.capacity(), 8u);
-    SpscRing<int> r2(1);
-    EXPECT_EQ(r2.capacity(), 2u);
-}
-
-TEST(SpscRing, PushPopFifoAndFullEmpty)
-{
-    SpscRing<int> r(4);
-    int v = 0;
-    EXPECT_FALSE(r.tryPop(v));
-    for (int i = 0; i < 4; ++i)
-        EXPECT_TRUE(r.tryPush(i));
-    EXPECT_FALSE(r.tryPush(99)) << "ring must report full";
-    for (int i = 0; i < 4; ++i) {
-        ASSERT_TRUE(r.tryPop(v));
-        EXPECT_EQ(v, i) << "FIFO order";
-    }
-    EXPECT_FALSE(r.tryPop(v));
-    // Wrap-around: indices are monotonic, slots are reused.
-    for (int round = 0; round < 3; ++round) {
-        for (int i = 0; i < 3; ++i)
-            EXPECT_TRUE(r.tryPush(round * 10 + i));
-        for (int i = 0; i < 3; ++i) {
-            ASSERT_TRUE(r.tryPop(v));
-            EXPECT_EQ(v, round * 10 + i);
-        }
-    }
-}
-
-TEST(SpscRing, HighWaterTracksMaxOccupancy)
-{
-    SpscRing<int> r(8);
-    EXPECT_EQ(r.highWater(), 0u);
-    r.tryPush(1);
-    r.tryPush(2);
-    EXPECT_EQ(r.highWater(), 2u);
-    int v;
-    r.tryPop(v);
-    r.tryPush(3);
-    EXPECT_EQ(r.highWater(), 2u) << "high-water never decreases";
-    r.tryPush(4);
-    r.tryPush(5);
-    EXPECT_EQ(r.highWater(), 4u);
-}
-
-TEST(SpscRing, CrossThreadTransferDeliversEverythingInOrder)
-{
-    // One producer, one consumer, enough items to wrap many times.
-    SpscRing<std::uint64_t> r(16);
-    constexpr std::uint64_t kN = 100000;
-    std::thread consumer([&] {
-        std::uint64_t expect = 0;
-        while (expect < kN) {
-            std::uint64_t v;
-            if (r.tryPop(v)) {
-                ASSERT_EQ(v, expect);
-                ++expect;
-            } else {
-                r.waitNonEmpty();
-            }
-        }
-    });
-    for (std::uint64_t i = 0; i < kN; ++i)
-        while (!r.tryPush(i))
-            std::this_thread::yield();
-    consumer.join();
-    EXPECT_EQ(r.size(), 0u);
-    EXPECT_GT(r.highWater(), 0u);
 }
 
 } // namespace

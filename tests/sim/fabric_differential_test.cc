@@ -9,6 +9,9 @@
  * directory's own lookup counter. Only timing (latency, which never
  * feeds back into raw streams) may differ.
  *
+ * Two identically configured systems driven by one stream must
+ * agree on everything, the architectural statistics included.
+ *
  * Also exercises the numCores-parametric orchestration: 8-, 16- and
  * 32-core machines must run fig8-style parallel workloads to
  * completion on both fabrics with matching checksums.
@@ -162,24 +165,6 @@ runFabricDifferential(sim::CacheSystem& a, sim::CacheSystem& b,
         << "the snoop bus must never consult a directory";
 }
 
-/**
- * Sequential-vs-sharded differential: the shard count is pure
- * simulator machinery, so *every* architectural statistic — the
- * directory counter included — must be bit-identical, along with
- * values, outcomes, memory images and abort generations. Only the
- * simulator-side ShardStats may (and must) differ.
- */
-void
-runShardDifferential(sim::CacheSystem& a, sim::CacheSystem& b,
-                     std::uint64_t seed, unsigned ops)
-{
-    driveIdenticalStreams(a, b, seed, ops);
-    EXPECT_TRUE(a.stats() == b.stats())
-        << "sharding must not change architectural statistics";
-    EXPECT_NO_THROW(a.verifyIndexes());
-    EXPECT_NO_THROW(b.verifyIndexes());
-}
-
 class FabricDifferential
     : public ::testing::TestWithParam<std::uint64_t>
 {};
@@ -238,18 +223,31 @@ TEST_P(FabricDifferential, UnboundedSetsMatchAcrossFabrics)
 INSTANTIATE_TEST_SUITE_P(Seeds, FabricDifferential,
                          ::testing::Range<std::uint64_t>(1, 5));
 
-// --- sequential vs sharded engine ---------------------------------------
+// --- same-configuration determinism --------------------------------------
 
-/** Host-sized shard request: at least 2 so the banked paths engage
- *  even on single-CPU hosts. */
-unsigned
-hostShards()
+/**
+ * Same-configuration differential: *every* architectural statistic —
+ * the directory counter included — must be bit-identical, along with
+ * values, outcomes, memory images and abort generations, and both
+ * systems' indexes must stay consistent.
+ */
+void
+runShardDifferential(sim::CacheSystem& a, sim::CacheSystem& b,
+                     std::uint64_t seed, unsigned ops)
 {
-    const unsigned n = std::thread::hardware_concurrency();
-    return n < 2 ? 2 : n;
+    driveIdenticalStreams(a, b, seed, ops);
+    EXPECT_TRUE(a.stats() == b.stats())
+        << "one configuration must give one set of statistics";
+    EXPECT_NO_THROW(a.verifyIndexes());
+    EXPECT_NO_THROW(b.verifyIndexes());
 }
 
-/** (seed, requested shard count) */
+/**
+ * (seed, bank count). The cache system has a single bank, so the
+ * count is always 1 and each case compares two identically
+ * configured systems. The suite and case names are those of the
+ * former sequential-vs-sharded sweep, whose 1-bank cells these are.
+ */
 using ShardParam = std::tuple<std::uint64_t, unsigned>;
 
 class ShardDifferential : public ::testing::TestWithParam<ShardParam>
@@ -257,107 +255,51 @@ class ShardDifferential : public ::testing::TestWithParam<ShardParam>
 
 TEST_P(ShardDifferential, SnoopBusStreamMatchesSequentialInline)
 {
-    const auto [seed, shards] = GetParam();
-    sim::MachineConfig seq;
-    seq.l2SizeKB = 256;
-    sim::MachineConfig shr = seq;
-    shr.shards = shards;
-    shr.shardThreads = 1; // inline: banked structures, one thread
+    const std::uint64_t seed = std::get<0>(GetParam());
+    sim::MachineConfig cfg;
+    cfg.l2SizeKB = 256;
 
     sim::EventQueue eqa, eqb;
-    sim::CacheSystem a(eqa, seq);
-    sim::CacheSystem b(eqb, shr);
-    EXPECT_EQ(b.shardStats().banks, std::uint64_t{shr.shardBanks()});
+    sim::CacheSystem a(eqa, cfg);
+    sim::CacheSystem b(eqb, cfg);
     runShardDifferential(a, b, seed * 7 + 1, 2500);
 }
 
 TEST_P(ShardDifferential, DirectoryStreamMatchesSequentialThreaded)
 {
-    const auto [seed, shards] = GetParam();
-    sim::MachineConfig seq;
-    seq.l2SizeKB = 256;
-    seq.fabric = sim::Fabric::Directory;
-    sim::MachineConfig shr = seq;
-    shr.shards = shards;
-    shr.shardThreads = 2; // dedicated bank workers, even on 1 CPU
+    const std::uint64_t seed = std::get<0>(GetParam());
+    sim::MachineConfig cfg;
+    cfg.l2SizeKB = 256;
+    cfg.fabric = sim::Fabric::Directory;
 
     sim::EventQueue eqa, eqb;
-    sim::CacheSystem a(eqa, seq);
-    sim::CacheSystem b(eqb, shr);
-    if (shr.shardBanks() > 1)
-        EXPECT_TRUE(b.shardStats().threaded);
+    sim::CacheSystem a(eqa, cfg);
+    sim::CacheSystem b(eqb, cfg);
     runShardDifferential(a, b, seed * 11 + 5, 2000);
 }
 
 TEST_P(ShardDifferential, UnboundedSetsMatchSequentialThreaded)
 {
-    // Tiny caches + overflow traffic: the banked overflow folds and
-    // the bank-partitioned memory writebacks join the surface.
-    const auto [seed, shards] = GetParam();
-    sim::MachineConfig seq;
-    seq.l1SizeKB = 4;
-    seq.l1Assoc = 2;
-    seq.l2SizeKB = 32;
-    seq.l2Assoc = 4;
-    seq.unboundedSpecSets = true;
-    sim::MachineConfig shr = seq;
-    shr.shards = shards;
-    shr.shardThreads = 2;
+    // Tiny caches + overflow traffic: overflow-table spills and
+    // refills and memory writebacks join the surface.
+    const std::uint64_t seed = std::get<0>(GetParam());
+    sim::MachineConfig cfg;
+    cfg.l1SizeKB = 4;
+    cfg.l1Assoc = 2;
+    cfg.l2SizeKB = 32;
+    cfg.l2Assoc = 4;
+    cfg.unboundedSpecSets = true;
 
     sim::EventQueue eqa, eqb;
-    sim::CacheSystem a(eqa, seq);
-    sim::CacheSystem b(eqb, shr);
+    sim::CacheSystem a(eqa, cfg);
+    sim::CacheSystem b(eqb, cfg);
     runShardDifferential(a, b, seed * 13 + 2, 1500);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     SeedsByShards, ShardDifferential,
     ::testing::Combine(::testing::Range<std::uint64_t>(1, 4),
-                       ::testing::Values(1u, 2u, 8u, hostShards())));
-
-TEST(ShardEngineModes, InlineAndThreadedSchedulesAgree)
-{
-    // Same banked partitioning, two drain schedules: the inline
-    // coordinator and dedicated workers must be indistinguishable.
-    sim::MachineConfig inl;
-    inl.l2SizeKB = 256;
-    inl.shards = 4;
-    inl.shardThreads = 1;
-    sim::MachineConfig thr = inl;
-    thr.shardThreads = 2;
-
-    sim::EventQueue eqa, eqb;
-    sim::CacheSystem a(eqa, inl);
-    sim::CacheSystem b(eqb, thr);
-    EXPECT_FALSE(a.shardStats().threaded);
-    EXPECT_TRUE(b.shardStats().threaded);
-    runShardDifferential(a, b, 99, 2500);
-    // Identical command routing too: the schedule only changes *who*
-    // drains the rings, never what flows through them.
-    EXPECT_EQ(a.shardStats().bankCmds, b.shardStats().bankCmds);
-    EXPECT_EQ(a.shardStats().epochs, b.shardStats().epochs);
-}
-
-TEST(ShardEngineModes, BankClampRespectsSetCounts)
-{
-    // 4 KB / 2-way L1 has 32 sets: a 64-shard request must clamp to
-    // a power of two dividing every cache's set count.
-    sim::MachineConfig cfg;
-    cfg.l1SizeKB = 4;
-    cfg.l1Assoc = 2;
-    cfg.l2SizeKB = 256;
-    cfg.shards = 64;
-    EXPECT_EQ(cfg.shardBanks(), 32u);
-    cfg.shards = 5; // non-power-of-two requests round down
-    EXPECT_EQ(cfg.shardBanks(), 4u);
-    cfg.shards = 0;
-    EXPECT_EQ(cfg.shardBanks(), 1u);
-
-    sim::EventQueue eq;
-    cfg.shards = 64;
-    sim::CacheSystem sys(eq, cfg);
-    EXPECT_EQ(sys.shardStats().banks, 32u);
-}
+                       ::testing::Values(1u)));
 
 // --- numCores-parametric orchestration ----------------------------------
 
@@ -412,10 +354,11 @@ TEST(ManyCoreOrchestration, ThirtyTwoCoresCompleteOnBothFabrics)
 
 TEST(ManyCoreOrchestration, ShardSweepIsDeterministicAcrossSeeds)
 {
-    // Full-stack determinism: the same parallel workload, run on
-    // shards {1, 2, host} under both fabrics, must produce the same
-    // checksum and the same architectural stats for every seed —
-    // whether the banks are drained inline or by worker threads.
+    // Full-stack determinism: the same parallel workload must produce
+    // the same checksum and the same architectural stats for every
+    // seed and fabric, whether it runs on this thread or on a host
+    // worker thread concurrently with another run (as hmtx_fuzz
+    // --threads does). The name is kept from the former shard sweep.
     for (std::uint64_t seed : {5u, 23u, 71u}) {
         workloads::StressWorkload::Params p;
         p.iterations = 48;
@@ -425,35 +368,19 @@ TEST(ManyCoreOrchestration, ShardSweepIsDeterministicAcrossSeeds)
 
         for (sim::Fabric f :
              {sim::Fabric::SnoopBus, sim::Fabric::Directory}) {
-            struct Variant
-            {
-                unsigned shards;
-                unsigned threads;
-            };
-            const Variant variants[] = {
-                {1, 0}, {2, 1}, {hostShards(), 2}};
-            bool have = false;
-            std::uint64_t refSum = 0;
-            sim::SysStats refStats;
-            for (const Variant& v : variants) {
-                sim::MachineConfig cfg;
-                cfg.numCores = 8;
-                cfg.fabric = f;
-                cfg.shards = v.shards;
-                cfg.shardThreads = v.threads;
-                workloads::StressWorkload w(p);
-                runtime::ExecResult r =
-                    runtime::Runner::runDoall(w, cfg, 8);
-                if (!have) {
-                    refSum = r.checksum;
-                    refStats = r.stats;
-                    have = true;
-                } else {
-                    EXPECT_EQ(r.checksum, refSum)
-                        << "seed " << seed << " shards " << v.shards;
-                    EXPECT_TRUE(r.stats == refStats)
-                        << "seed " << seed << " shards " << v.shards;
-                }
+            sim::MachineConfig cfg;
+            cfg.numCores = 8;
+            cfg.fabric = f;
+            workloads::StressWorkload wa(p), wb(p), wc(p);
+            runtime::ExecResult ra, rb, rc;
+            std::thread worker(
+                [&] { rb = runtime::Runner::runDoall(wb, cfg, 8); });
+            ra = runtime::Runner::runDoall(wa, cfg, 8);
+            worker.join();
+            rc = runtime::Runner::runDoall(wc, cfg, 8);
+            for (const runtime::ExecResult* r : {&rb, &rc}) {
+                EXPECT_EQ(r->checksum, ra.checksum) << "seed " << seed;
+                EXPECT_TRUE(r->stats == ra.stats) << "seed " << seed;
             }
         }
     }

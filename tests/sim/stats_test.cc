@@ -77,8 +77,7 @@ TEST(StatsReport, PrintsEveryStatGroup)
     }
     EXPECT_NE(out.find("123"), std::string::npos);
     // Optional groups stay absent unless their stats are supplied.
-    EXPECT_EQ(out.find("sim.parallel."), std::string::npos);
-    EXPECT_EQ(out.find("sim.shard."), std::string::npos);
+    EXPECT_EQ(out.find("sim.snoopsVisited"), std::string::npos);
     EXPECT_EQ(out.find("config.txMode"), std::string::npos);
     EXPECT_EQ(out.find("sim.txmode."), std::string::npos);
     EXPECT_EQ(out.find("sim.fastpath."), std::string::npos);
@@ -106,7 +105,7 @@ TEST(StatsReport, EchoesTxModeConfigAndCounters)
     std::memset(buf, 0, sizeof(buf));
     std::FILE* f = fmemopen(buf, sizeof(buf) - 1, "w");
     ASSERT_NE(f, nullptr);
-    StatsReport(s, nullptr, nullptr, nullptr, &cfg, &tx).print(f);
+    StatsReport(s, nullptr, &cfg, &tx).print(f);
     std::fclose(f);
 
     std::string out(buf);
@@ -120,46 +119,6 @@ TEST(StatsReport, EchoesTxModeConfigAndCounters)
           "sim.txmode.limitedSetAborts"}) {
         EXPECT_NE(out.find(key), std::string::npos) << key;
     }
-}
-
-TEST(StatsReport, PrintsParallelEngineGroupWhenGiven)
-{
-    SysStats s;
-    ParStats p;
-    p.workers = 3;
-    p.threaded = true;
-    p.windows = 10;
-    p.events = 250;
-    p.laneEvents = 200;
-    p.sections = 40;
-    p.intents = 160;
-    p.barrierStalls = 5;
-
-    char buf[16384];
-    std::memset(buf, 0, sizeof(buf));
-    std::FILE* f = fmemopen(buf, sizeof(buf) - 1, "w");
-    ASSERT_NE(f, nullptr);
-    StatsReport(s, nullptr, nullptr, &p).print(f);
-    std::fclose(f);
-
-    std::string out(buf);
-    for (const char* key :
-         {"sim.parallel.workers", "sim.parallel.threaded",
-          "sim.parallel.windows", "sim.parallel.eventsPerWindow",
-          "sim.parallel.laneEvents", "sim.parallel.sections",
-          "sim.parallel.intents", "sim.parallel.barrierStalls",
-          "sim.parallel.rollbacks", "sim.parallel.apply.batches",
-          "sim.parallel.apply.applied", "sim.parallel.apply.conflicts",
-          "sim.parallel.apply.serialFallbacks"}) {
-        EXPECT_NE(out.find(key), std::string::npos) << key;
-    }
-    EXPECT_DOUBLE_EQ(p.eventsPerWindow(), 25.0);
-}
-
-TEST(ParStats, EventsPerWindowHandlesZeroWindows)
-{
-    ParStats p;
-    EXPECT_EQ(p.eventsPerWindow(), 0.0);
 }
 
 TEST(StatsReport, PrintsFastPathGroupWhenGiven)
@@ -176,7 +135,7 @@ TEST(StatsReport, PrintsFastPathGroupWhenGiven)
     std::memset(buf, 0, sizeof(buf));
     std::FILE* out_f = fmemopen(buf, sizeof(buf) - 1, "w");
     ASSERT_NE(out_f, nullptr);
-    StatsReport(s, nullptr, nullptr, nullptr, nullptr, nullptr, &f)
+    StatsReport(s, nullptr, nullptr, nullptr, &f)
         .print(out_f);
     std::fclose(out_f);
 
@@ -217,8 +176,7 @@ TEST(StatsReport, PrintsServeGroupWhenGiven)
     std::memset(buf, 0, sizeof(buf));
     std::FILE* out_f = fmemopen(buf, sizeof(buf) - 1, "w");
     ASSERT_NE(out_f, nullptr);
-    StatsReport(s, nullptr, nullptr, nullptr, nullptr, nullptr,
-                nullptr, &sv)
+    StatsReport(s, nullptr, nullptr, nullptr, nullptr, &sv)
         .print(out_f);
     std::fclose(out_f);
 

@@ -91,23 +91,12 @@ TEST(TxModeValidation, RejectsUnboundedSetsInBoundedModes)
     }
 }
 
-TEST(TxModeValidation, RejectsParallelEngineInBoundedModes)
-{
-    for (MachineConfig cfg : {btxConfig(), ltdConfig(4)}) {
-        cfg.engine = SimEngine::Parallel;
-        EXPECT_THROW(cfg.validate(), std::invalid_argument);
-        EXPECT_NE(thrownMessage(cfg).find("engine=Parallel"),
-                  std::string::npos);
-    }
-}
-
 TEST(TxModeValidation, AcceptsTheHmtxModesUnchanged)
 {
     for (TxMode m : {TxMode::LazyHmtx, TxMode::EagerHmtx}) {
         MachineConfig cfg;
         cfg.txMode = m;
         cfg.unboundedSpecSets = true;
-        cfg.engine = SimEngine::Parallel;
         EXPECT_NO_THROW(cfg.validate()) << txModeName(m);
     }
 }

@@ -2,8 +2,10 @@
  * @file
  * Configuration-matrix property: across every combination of
  * coherence fabric, commit scheme, VID width and spec-set bounding,
- * parallel execution preserves the sequential semantics. This guards
- * the feature interactions that no single-feature test covers.
+ * parallel execution preserves the sequential semantics, and the
+ * zero-event hit fast path (DESIGN.md §13) leaves every simulated
+ * result bit-identical. This guards the feature interactions that no
+ * single-feature test covers.
  */
 
 #include <gtest/gtest.h>
@@ -37,6 +39,21 @@ class ConfigMatrix : public ::testing::TestWithParam<Combo>
         cfg.unboundedSpecSets = std::get<3>(c);
         return cfg;
     }
+
+    /** The fast path may change host time only: everything the
+     *  simulated machine can observe must match the fast-off run. */
+    static void
+    expectFastPathIdentical(const runtime::ExecResult& off,
+                            const runtime::ExecResult& on)
+    {
+        EXPECT_EQ(on.cycles, off.cycles);
+        EXPECT_EQ(on.checksum, off.checksum);
+        EXPECT_EQ(on.instructions, off.instructions);
+        EXPECT_EQ(on.transactions, off.transactions);
+        EXPECT_EQ(on.vidResets, off.vidResets);
+        EXPECT_TRUE(on.stats == off.stats);
+        EXPECT_EQ(off.fastStats.attempts, 0u);
+    }
 };
 
 TEST_P(ConfigMatrix, LinkedListPreservesSemantics)
@@ -46,11 +63,16 @@ TEST_P(ConfigMatrix, LinkedListPreservesSemantics)
     LinkedListWorkload::Params p;
     p.nodes = 90;
     p.workRounds = 20;
-    LinkedListWorkload seq(p), par(p);
+    LinkedListWorkload seq(p), par(p), fast(p);
     runtime::ExecResult rs = runtime::Runner::runSequential(seq, cfg);
     runtime::ExecResult rp = runtime::Runner::runHmtx(par, cfg);
     EXPECT_EQ(rp.checksum, rs.checksum);
     EXPECT_EQ(rp.transactions, p.nodes);
+
+    cfg.fastPath = true;
+    runtime::ExecResult rf = runtime::Runner::runHmtx(fast, cfg);
+    expectFastPathIdentical(rp, rf);
+    EXPECT_GT(rf.fastStats.hits(), 0u); // hit-heavy: it must fire
 }
 
 TEST_P(ConfigMatrix, GzipPreservesSemantics)
@@ -60,10 +82,13 @@ TEST_P(ConfigMatrix, GzipPreservesSemantics)
     GzipWorkload::Params p;
     p.blocks = 10;
     p.wordsPerBlock = 160;
-    GzipWorkload seq(p), par(p);
+    GzipWorkload seq(p), par(p), fast(p);
     runtime::ExecResult rs = runtime::Runner::runSequential(seq, cfg);
     runtime::ExecResult rp = runtime::Runner::runHmtx(par, cfg);
     EXPECT_EQ(rp.checksum, rs.checksum);
+
+    cfg.fastPath = true;
+    expectFastPathIdentical(rp, runtime::Runner::runHmtx(fast, cfg));
 }
 
 INSTANTIATE_TEST_SUITE_P(

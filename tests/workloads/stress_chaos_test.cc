@@ -5,6 +5,10 @@
  * violation must be detected and replayed, and the final state must
  * always equal the sequential run's.
  *
+ * The pipeline cells also rerun with the zero-event hit fast path
+ * (DESIGN.md §13): every abort must still retire its fast-path tags,
+ * so the replay is bit-identical to the fast-off run.
+ *
  * Note: the injected violating stores are fire-once side effects
  * outside the checksummed output, so the sequential reference runs a
  * separate conflict-free instance.
@@ -57,6 +61,15 @@ TEST_P(Chaos, PipelineSurvivesInjectedViolations)
         EXPECT_EQ(rp.transactions, 48u);
         if (par.conflictsInjected() > 0)
             EXPECT_GE(rp.stats.aborts, 1u) << rate;
+
+        sim::MachineConfig fastCfg = cfg();
+        fastCfg.fastPath = true;
+        StressWorkload fast(params(rate, seed));
+        runtime::ExecResult rf =
+            runtime::Runner::runPipeline(fast, fastCfg, 3);
+        EXPECT_EQ(rf.cycles, rp.cycles) << "rate " << rate;
+        EXPECT_EQ(rf.checksum, rp.checksum) << "rate " << rate;
+        EXPECT_TRUE(rf.stats == rp.stats) << "rate " << rate;
     }
 }
 
