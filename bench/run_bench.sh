@@ -68,11 +68,13 @@ echo "== ext_kv_serving (open-loop serving sweep, 1.2M requests) =="
 echo "== micro_hotpath smoke (behavioural identity + speedup bound) =="
 "$BUILD/bench/micro_hotpath" --smoke
 
+# Five repetitions: ci/check.sh gates the median aggregate, and only
+# when this host's fingerprint (CPU count, MHz, caches) matches.
 echo "== micro_hotpath =="
 MICRO_JSON=$(mktemp)
 "$BUILD/bench/micro_hotpath" \
     --benchmark_out="$MICRO_JSON" --benchmark_out_format=json \
-    --benchmark_min_time=0.2
+    --benchmark_min_time=0.2 --benchmark_repetitions=5
 
 echo "== fig8_speedup (best of $RUNS, user CPU seconds) =="
 FIG8_TIMES=()
@@ -101,10 +103,11 @@ if build_type != "Release":
              "expected 'Release'; refusing to write baselines")
 
 # Summarize the indexed vs full-scan ratios at Table 2 geometry
-# (benchmark args are /<table2>/<fullscan>).
-by_name = {b["name"]: b["real_time"]
+# (benchmark args are /<table2>/<fullscan>), on the median of the
+# repetitions.
+by_name = {b["run_name"]: b["real_time"]
            for b in micro.get("benchmarks", [])
-           if b.get("run_type", "iteration") == "iteration"}
+           if b.get("aggregate_name") == "median"}
 ratios = {}
 for op in ("BM_AbortAll", "BM_VidReset", "BM_EagerCommit"):
     idx = by_name.get(f"{op}/1/0")

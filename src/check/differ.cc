@@ -145,14 +145,25 @@ hex(std::uint64_t v)
     return buf;
 }
 
+/**
+ * The clock every cell reads. Cells never schedule events and
+ * CacheSystem only reads curTick(), so it stays at tick 0 and
+ * concurrent hmtx_fuzz --threads workers can share it.
+ */
+const sim::EventQueue&
+idleClock()
+{
+    static const sim::EventQueue clock;
+    return clock;
+}
+
 struct Cell
 {
     const char* name;
-    sim::EventQueue eq;
     sim::CacheSystem sys;
 
     Cell(const char* n, const sim::MachineConfig& mc)
-        : name(n), sys(eq, mc)
+        : name(n), sys(idleClock(), mc)
     {}
 };
 

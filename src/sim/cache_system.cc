@@ -14,7 +14,7 @@
 namespace hmtx::sim
 {
 
-CacheSystem::CacheSystem(EventQueue& eq, const MachineConfig& cfg)
+CacheSystem::CacheSystem(const EventQueue& eq, const MachineConfig& cfg)
     : eq_(eq), cfg_(cfg), cmp_(cfg.vidBits), policy_(cfg.txPolicy()),
       trace_(cfg.traceFlags)
 {

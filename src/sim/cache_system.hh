@@ -87,7 +87,9 @@ struct AccessResult
 class CacheSystem
 {
   public:
-    CacheSystem(EventQueue& eq, const MachineConfig& cfg);
+    /** @p eq is only read: the memory system times fabric occupancy
+     *  off eq.curTick() and never schedules an event. */
+    CacheSystem(const EventQueue& eq, const MachineConfig& cfg);
 
     /** The interconnect and stats members hold references into this
      *  object; moving would dangle them. */
@@ -579,7 +581,7 @@ class CacheSystem
      */
     static void fpClear(Line& l) { l.fpGen = 0; }
 
-    EventQueue& eq_;
+    const EventQueue& eq_;
     /**
      * Logical access clock for replacement recency. Line::lastUse is
      * stamped from this counter, not from eq_.curTick(): simulated

@@ -109,7 +109,9 @@ AlvinnWorkload::stage2(runtime::MemIf& mem, std::uint64_t iter)
         std::int64_t err = t - y;
         co_await mem.store(deltas_.at(iter, o),
                            static_cast<std::uint64_t>(err));
-        co_await mem.branch(0x310, (err & 1) == (err & 1));
+        // Always taken. The outcome trains the branch predictor, so
+        // flipping it would move Fig. 8's cycle counts.
+        co_await mem.branch(0x310, true);
     }
 
     // Backward pass: per-pattern hidden deltas.
