@@ -29,7 +29,6 @@ main()
          {"ispell", "164.gzip", "197.parser", "130.li",
           "256.bzip2"}) {
         sim::MachineConfig lazy;
-        applyEngineEnv(lazy);
         auto a = workloads::makeByName(name);
         runtime::ExecResult rl = runtime::Runner::runHmtx(*a, lazy);
 

@@ -26,7 +26,6 @@ main()
     for (const char* name :
          {"197.parser", "130.li", "456.hmmer", "052.alvinn"}) {
         sim::MachineConfig cow; // default: copy on speculative write
-        applyEngineEnv(cow);
         auto a = workloads::makeByName(name);
         runtime::ExecResult rw = runtime::Runner::runHmtx(*a, cow);
 

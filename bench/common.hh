@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -106,76 +105,6 @@ rule(unsigned width = 78)
     for (unsigned i = 0; i < width; ++i)
         std::putchar('-');
     std::putchar('\n');
-}
-
-/**
- * Applies the HMTX_FASTPATH environment knob ("on"/"off") to @p cfg:
- * it toggles the zero-event hit fast path (DESIGN.md §13), which is
- * bit-identical either way — it changes host time and the
- * sim.fastpath.* counters only. Every bench applies this to each
- * config it builds, so one environment variable flips a whole run onto
- * the fast path.
- */
-inline void
-applyEngineEnv(sim::MachineConfig& cfg)
-{
-    const char* f = std::getenv("HMTX_FASTPATH");
-    if (f == nullptr)
-        return;
-    if (std::strcmp(f, "on") == 0 || std::strcmp(f, "1") == 0) {
-        cfg.fastPath = true;
-    } else if (std::strcmp(f, "off") == 0 || std::strcmp(f, "0") == 0) {
-        cfg.fastPath = false;
-    } else {
-        std::fprintf(stderr, "FATAL: HMTX_FASTPATH=%s (want on or off)\n",
-                     f);
-        std::abort();
-    }
-}
-
-/**
- * Serving-bench knobs (HMTX_SERVE_*). Unset fields keep the bench
- * defaults: theta/writeRatio/burstDuty stay negative and ops stays 0,
- * so callers test `>= 0` / `> 0` before overriding. HMTX_SERVE_THETA
- * and HMTX_SERVE_WRITE_RATIO collapse the respective sweep axis to
- * the single given value; HMTX_SERVE_OPS overrides requests per cell
- * and HMTX_SERVE_BURST_DUTY the ON-fraction of the bursty arrival
- * process (1.0 = smooth open loop).
- */
-struct ServeEnv
-{
-    double theta = -1.0;
-    double writeRatio = -1.0;
-    std::uint64_t ops = 0;
-    double burstDuty = -1.0;
-};
-
-inline ServeEnv
-serveEnv()
-{
-    auto fatal = [](const char* name, const char* v) {
-        std::fprintf(stderr, "FATAL: %s=%s (want a number)\n", name,
-                     v);
-        std::abort();
-    };
-    auto num = [&](const char* name, double lo, double hi) {
-        const char* v = std::getenv(name);
-        if (!v)
-            return -1.0;
-        char* end = nullptr;
-        const double d = std::strtod(v, &end);
-        if (end == v || *end != '\0' || d < lo || d > hi)
-            fatal(name, v);
-        return d;
-    };
-    ServeEnv e;
-    e.theta = num("HMTX_SERVE_THETA", 0.0, 4.0);
-    e.writeRatio = num("HMTX_SERVE_WRITE_RATIO", 0.0, 1.0);
-    const double ops = num("HMTX_SERVE_OPS", 1.0, 1e9);
-    if (ops > 0)
-        e.ops = static_cast<std::uint64_t>(ops);
-    e.burstDuty = num("HMTX_SERVE_BURST_DUTY", 0.01, 1.0);
-    return e;
 }
 
 /** Verifies checksum equality and aborts the bench loudly if the

@@ -6,10 +6,8 @@
  * Interconnect implementations: the snoopy bus serializes all
  * coherence traffic (occupancy grows with the core count) and
  * flattens out; address-interleaved directory banks keep scaling.
- *
- * Besides the console table, emits a machine-readable summary to
- * BENCH_scaling.json (path overridable as argv[1]) for the bench
- * harness.
+ * The run exits 2 if the directory fabric is slower than the bus at
+ * 8 or more cores.
  */
 
 #include "bench/common.hh"
@@ -17,53 +15,19 @@
 using namespace hmtx;
 using namespace hmtx::bench;
 
-namespace
-{
-
-/** One cell of the cores x fabric sweep. */
-struct Sample
-{
-    unsigned cores;
-    const char* fabric;
-    runtime::ExecResult r;
-    double speedup;
-};
-
-} // namespace
-
 int
-main(int argc, char** argv)
+main()
 {
-    const char* outPath = argc > 1 ? argv[1] : "BENCH_scaling.json";
-    sim::MachineConfig envProbe;
-    applyEngineEnv(envProbe);
     std::printf("Extension §8: PS-DSWP scaling, snoopy bus vs "
                 "directory fabric\n");
 
     const std::vector<const char*> benches{"456.hmmer", "197.parser"};
     const std::vector<unsigned> coreCounts{2, 4, 8, 16, 32};
 
-    std::FILE* js = std::fopen(outPath, "w");
-    if (!js) {
-        std::fprintf(stderr, "FATAL: cannot open %s\n", outPath);
-        return 1;
-    }
-    // Echo the commit-mode axis so every BENCH report is
-    // self-describing even though this sweep runs the lazy default.
-    std::fprintf(js,
-                 "{\n \"config\": {\"txMode\": \"%s\", "
-                 "\"btxMaxRetries\": %u, \"btxAbortThreshold\": %u, "
-                 "\"limitedSetK\": %u},\n \"workloads\": {\n",
-                 txModeName(envProbe.txMode),
-                 envProbe.btxMaxRetries, envProbe.btxAbortThreshold,
-                 envProbe.limitedSetK);
-
     bool dirWinsAtScale = true;
-    for (std::size_t w = 0; w < benches.size(); ++w) {
-        const char* name = benches[w];
+    for (const char* name : benches) {
         auto seqWl = workloads::makeByName(name);
         sim::MachineConfig base;
-        applyEngineEnv(base);
         runtime::ExecResult seq =
             runtime::Runner::runSequential(*seqWl, base);
 
@@ -75,16 +39,12 @@ main(int argc, char** argv)
                     "speedup", "dir lookups");
         rule(88);
 
-        std::vector<Sample> samples;
         for (unsigned cores : coreCounts) {
             sim::MachineConfig snoop;
             snoop.numCores = cores;
-            applyEngineEnv(snoop);
             auto a = workloads::makeByName(name);
             runtime::ExecResult rs = runtime::Runner::runHmtx(*a, snoop);
             requireChecksum(name, seq, rs);
-            samples.push_back(
-                {cores, "snoop-bus", rs, speedup(seq, rs)});
 
             sim::MachineConfig dir = snoop;
             dir.fabric = sim::Fabric::Directory;
@@ -98,8 +58,6 @@ main(int argc, char** argv)
             auto b = workloads::makeByName(name);
             runtime::ExecResult rd = runtime::Runner::runHmtx(*b, dir);
             requireChecksum(name, seq, rd);
-            samples.push_back(
-                {cores, "directory", rd, speedup(seq, rd)});
 
             if (cores >= 8 && rd.cycles > rs.cycles)
                 dirWinsAtScale = false;
@@ -113,35 +71,7 @@ main(int argc, char** argv)
                 static_cast<unsigned long long>(rd.stats.dirLookups));
         }
         rule(88);
-
-        std::fprintf(js,
-                     "  \"%s\": {\n   \"sequential_cycles\": %llu,\n"
-                     "   \"sweep\": [\n",
-                     name,
-                     static_cast<unsigned long long>(seq.cycles));
-        for (std::size_t i = 0; i < samples.size(); ++i) {
-            const Sample& s = samples[i];
-            std::fprintf(
-                js,
-                "    {\"cores\": %u, \"fabric\": \"%s\", "
-                "\"cycles\": %llu, \"speedup\": %.4f, "
-                "\"busTxns\": %llu, \"dirLookups\": %llu, "
-                "\"idleCores\": %llu}%s\n",
-                s.cores, s.fabric,
-                static_cast<unsigned long long>(s.r.cycles), s.speedup,
-                static_cast<unsigned long long>(s.r.stats.busTxns),
-                static_cast<unsigned long long>(s.r.stats.dirLookups),
-                static_cast<unsigned long long>(s.r.stats.idleCores),
-                i + 1 < samples.size() ? "," : "");
-        }
-        std::fprintf(js, "   ]\n  }%s\n",
-                     w + 1 < benches.size() ? "," : "");
     }
-
-    std::fprintf(js, " },\n \"directory_wins_at_8plus_cores\": %s\n}\n",
-                 dirWinsAtScale ? "true" : "false");
-    std::fclose(js);
-    std::printf("\nwrote %s\n", outPath);
 
     std::printf(
         "\nThe HMTX version rules are fabric-independent; only the "

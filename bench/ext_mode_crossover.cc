@@ -20,12 +20,10 @@
  * machinery; once write sets outgrow the hierarchy, best-effort burns
  * retries and collapses onto the serialized fallback while full HMTX
  * keeps pipelining through spills. The crossover point — the smallest
- * W where full HMTX is strictly faster — is printed per fabric and
- * recorded, with the `sim.txmode.*` fallback-serialization counters,
- * in BENCH_modes.json (path overridable as argv[1]).
+ * W where full HMTX is strictly faster — is printed per fabric; the
+ * run exits 2 if either fabric has none within the sweep.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
@@ -33,7 +31,6 @@
 #include "bench/common.hh"
 #include "sim/cache_system.hh"
 #include "sim/event_queue.hh"
-#include "sim/stats_report.hh"
 #include "workloads/lane_clock.hh"
 
 using namespace hmtx;
@@ -49,7 +46,6 @@ sim::MachineConfig
 cellConfig(TxMode mode, sim::Fabric fabric)
 {
     sim::MachineConfig cfg;
-    bench::applyEngineEnv(cfg);
     cfg.numCores = kCores;
     // Tiny hierarchy so the write-set sweep crosses the capacity
     // boundary mid-sweep instead of at absurd W.
@@ -230,35 +226,11 @@ fabricName(sim::Fabric f)
     return f == sim::Fabric::Directory ? "directory" : "snoop-bus";
 }
 
-void
-emitTxRows(std::FILE* js, const TxModeStats& tx)
-{
-    std::fprintf(
-        js,
-        "     \"sim.txmode.retryAborts\": %llu,\n"
-        "     \"sim.txmode.fallbackEntries\": %llu,\n"
-        "     \"sim.txmode.fallbackAccesses\": %llu,\n"
-        "     \"sim.txmode.fallbackCommits\": %llu,\n"
-        "     \"sim.txmode.fallbackCycles\": %llu,\n"
-        "     \"sim.txmode.fallbackWrapRemaps\": %llu,\n"
-        "     \"sim.txmode.earlyFallbacks\": %llu,\n"
-        "     \"sim.txmode.limitedSetAborts\": %llu",
-        static_cast<unsigned long long>(tx.retryAborts),
-        static_cast<unsigned long long>(tx.fallbackEntries),
-        static_cast<unsigned long long>(tx.fallbackAccesses),
-        static_cast<unsigned long long>(tx.fallbackCommits),
-        static_cast<unsigned long long>(tx.fallbackCycles),
-        static_cast<unsigned long long>(tx.fallbackWrapRemaps),
-        static_cast<unsigned long long>(tx.earlyFallbacks),
-        static_cast<unsigned long long>(tx.limitedSetAborts));
-}
-
 } // namespace
 
 int
-main(int argc, char** argv)
+main()
 {
-    const char* outPath = argc > 1 ? argv[1] : "BENCH_modes.json";
     const std::vector<unsigned> sweep{4, 8, 16, 32, 64};
     const sim::Fabric fabrics[] = {sim::Fabric::SnoopBus,
                                    sim::Fabric::Directory};
@@ -268,33 +240,8 @@ main(int argc, char** argv)
                 "rising stores per transaction\n",
                 kCores, kCores * kBatches);
 
-    std::FILE* js = std::fopen(outPath, "w");
-    if (!js) {
-        std::fprintf(stderr, "FATAL: cannot open %s\n", outPath);
-        return 1;
-    }
-    // Echo the commit-mode axis of the best-effort cell so the report
-    // is self-describing (the full-HMTX cell is the lazy default).
-    const sim::MachineConfig echo =
-        cellConfig(TxMode::BestEffort, sim::Fabric::SnoopBus);
-    std::fprintf(
-        js,
-        "{\n \"config\": {\n"
-        "  \"cores\": %u,\n  \"transactions\": %u,\n"
-        "  \"hmtx.txMode\": \"%s\",\n"
-        "  \"hmtx.unboundedSpecSets\": true,\n"
-        "  \"btx.txMode\": \"%s\",\n"
-        "  \"btx.btxMaxRetries\": %u,\n"
-        "  \"btx.btxAbortThreshold\": %u,\n"
-        "  \"btx.limitedSetK\": %u\n },\n \"sweep\": [\n",
-        kCores, kCores * kBatches, txModeName(TxMode::LazyHmtx),
-        txModeName(echo.txMode), echo.btxMaxRetries,
-        echo.btxAbortThreshold, echo.limitedSetK);
-
     bool crossoverEverywhere = true;
     unsigned crossover[2] = {0, 0};
-    std::size_t cellIdx = 0;
-    const std::size_t cellCount = 2 * sweep.size();
 
     for (unsigned fi = 0; fi < 2; ++fi) {
         const sim::Fabric fabric = fabrics[fi];
@@ -329,35 +276,6 @@ main(int argc, char** argv)
                             hm.stats.specSpills));
             if (crossover[fi] == 0 && hm.makespan < be.makespan)
                 crossover[fi] = W;
-
-            const double fbShare = be.makespan
-                ? static_cast<double>(be.tx.fallbackCycles) /
-                    static_cast<double>(be.makespan)
-                : 0.0;
-            std::fprintf(
-                js,
-                "  {\"fabric\": \"%s\", \"stores_per_tx\": %u,\n"
-                "   \"hmtx\": {\"cycles\": %llu, \"flushes\": %llu, "
-                "\"aborts\": %llu, \"specSpills\": %llu, "
-                "\"specRefills\": %llu},\n"
-                "   \"btx\": {\"cycles\": %llu, \"flushes\": %llu, "
-                "\"aborts\": %llu, \"capacityAborts\": %llu, "
-                "\"fallback_cycle_share\": %.4f,\n",
-                fabricName(fabric), W,
-                static_cast<unsigned long long>(hm.makespan),
-                static_cast<unsigned long long>(hm.flushes),
-                static_cast<unsigned long long>(hm.stats.aborts),
-                static_cast<unsigned long long>(hm.stats.specSpills),
-                static_cast<unsigned long long>(hm.stats.specRefills),
-                static_cast<unsigned long long>(be.makespan),
-                static_cast<unsigned long long>(be.flushes),
-                static_cast<unsigned long long>(be.stats.aborts),
-                static_cast<unsigned long long>(
-                    be.stats.capacityAborts),
-                fbShare);
-            emitTxRows(js, be.tx);
-            std::fprintf(js, "}}%s\n",
-                         ++cellIdx < cellCount ? "," : "");
         }
     }
 
@@ -373,13 +291,6 @@ main(int argc, char** argv)
                         fabricName(fabrics[fi]), crossover[fi]);
         }
     }
-
-    std::fprintf(js,
-                 " ],\n \"crossover_stores_per_tx\": "
-                 "{\"snoop-bus\": %u, \"directory\": %u}\n}\n",
-                 crossover[0], crossover[1]);
-    std::fclose(js);
-    std::printf("\nwrote %s\n", outPath);
 
     std::printf(
         "\nWhile write sets fit the hierarchy the bounded machine "

@@ -27,7 +27,6 @@ int
 main()
 {
     sim::MachineConfig cfg; // Table 2, 4 cores
-    applyEngineEnv(cfg);
 
     std::printf("Extension §2.1: DOACROSS (TLS) vs PS-DSWP (MTX)\n");
     std::printf("\nPart 1: sweep of the sequential-stage weight "

@@ -22,7 +22,6 @@ main()
     for (const char* name : {"130.li", "256.bzip2"}) {
         auto seqWl = workloads::makeByName(name);
         sim::MachineConfig ref;
-        applyEngineEnv(ref);
         runtime::ExecResult seq =
             runtime::Runner::runSequential(*seqWl, ref);
 
@@ -41,7 +40,6 @@ main()
         for (Geometry g : {Geometry{64, 32 * 1024}, Geometry{16, 256},
                            Geometry{8, 64}}) {
             sim::MachineConfig bounded;
-            applyEngineEnv(bounded);
             bounded.l1SizeKB = g.l1;
             bounded.l2SizeKB = g.l2;
             bounded.maxRecoveries = 400;

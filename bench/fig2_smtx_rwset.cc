@@ -17,7 +17,6 @@ int
 main()
 {
     sim::MachineConfig cfg;
-    applyEngineEnv(cfg);
 
     std::printf("Figure 2: SMTX whole-program speedup over "
                 "sequential (4 cores)\n");

@@ -16,10 +16,6 @@ int
 main()
 {
     sim::MachineConfig cfg; // Table 2 defaults, 4 cores
-    // HMTX_FASTPATH=on reruns the whole figure with the zero-event hit
-    // fast path; every number must come out identical (the figure
-    // reports simulated cycles, and the fast path is bit-identical).
-    applyEngineEnv(cfg);
 
     std::printf("Figure 8: Hot loop speedup over sequential, "
                 "4 cores\n");

@@ -14,7 +14,6 @@ int
 main()
 {
     sim::MachineConfig cfg;
-    applyEngineEnv(cfg);
 
     std::printf("Figure 9: Average read/write set size per "
                 "transaction in kB\n");

@@ -24,7 +24,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <string>
 
 #include "bench/common.hh"
 #include "sim/cache_system.hh"
@@ -42,7 +41,6 @@ sim::MachineConfig
 makeCfg(bool table2, bool fullScan)
 {
     sim::MachineConfig cfg; // Table 2 defaults
-    bench::applyEngineEnv(cfg);
     if (!table2)
         cfg.l2SizeKB = 256; // small seed-style geometry
     cfg.forceFullScan = fullScan;
@@ -339,28 +337,13 @@ main(int argc, char** argv)
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;
-    // Build type of *this tree*, not of the benchmark library; the
-    // harness gates on it to keep debug timings out of the baselines.
+    // Build type of *this tree*, not of the benchmark library;
+    // ci/check.sh rejects timings from a non-Release build.
 #ifdef HMTX_BUILD_TYPE
     benchmark::AddCustomContext("hmtx_build_type", HMTX_BUILD_TYPE);
 #else
     benchmark::AddCustomContext("hmtx_build_type", "unknown");
 #endif
-    // Commit-mode axis of the measured configs (the hot paths run the
-    // lazy default); keeps every BENCH report self-describing.
-    {
-        const hmtx::sim::MachineConfig cfg = makeCfg(true, false);
-        benchmark::AddCustomContext("hmtx_tx_mode",
-                                    hmtx::txModeName(cfg.txMode));
-        benchmark::AddCustomContext(
-            "hmtx_btx_max_retries",
-            std::to_string(cfg.btxMaxRetries));
-        benchmark::AddCustomContext(
-            "hmtx_btx_abort_threshold",
-            std::to_string(cfg.btxAbortThreshold));
-        benchmark::AddCustomContext(
-            "hmtx_limited_set_k", std::to_string(cfg.limitedSetK));
-    }
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     return 0;

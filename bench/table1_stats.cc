@@ -18,7 +18,6 @@ int
 main()
 {
     sim::MachineConfig cfg;
-    applyEngineEnv(cfg);
 
     std::printf("Table 1: Statistics from simulated speculative "
                 "execution using HMTX\n");

@@ -17,7 +17,6 @@ int
 main()
 {
     sim::MachineConfig c;
-    applyEngineEnv(c); // table reflects the effective env-selected config
 
     std::printf("Table 2: Architectural configuration\n");
     rule(72);

@@ -54,7 +54,6 @@ int
 main()
 {
     sim::MachineConfig cfg;
-    applyEngineEnv(cfg);
 
     // Gather runs per execution model. Energy uses simulated time
     // scaled to seconds at 2 GHz; our runs are ~10^6 cycles (vs the

@@ -12,7 +12,6 @@
 #include "workloads/kv_serve.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -453,7 +452,6 @@ Engine::runBatch(const std::vector<unsigned>& active)
 KvServeResult
 Engine::run()
 {
-    const auto t0 = std::chrono::steady_clock::now();
     const unsigned n = cfg_.numCores;
     arenas_.reserve(n);
     cores_.resize(n);
@@ -520,10 +518,6 @@ Engine::run()
         }
     }
 
-    res_.hostSeconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      t0)
-            .count();
     return res_;
 }
 

@@ -85,8 +85,8 @@ struct KvServeParams
     /** Flushes per batch after which non-btx modes drain the oldest
      *  transaction alone (livelock-free forward progress). */
     unsigned drainAfter = 8;
-    /** Also keep every latency sample (O(n) memory — tests and the
-     *  naive-vs-streaming profile only; production runs stream). */
+    /** Also keep every latency sample (O(n) memory — tests only;
+     *  production runs stream). */
     bool recordLatencies = false;
     /** Replay committed writes through a host-side oracle and verify
      *  the final memory image against it. */
@@ -103,8 +103,6 @@ struct KvServeResult
     TxModeStats tx;
     /** Final memory image matched the sequential oracle. */
     bool oracleOk = true;
-    /** Host wall-clock of the serving loop (throughput profile). */
-    double hostSeconds = 0.0;
     /** Peak bytes across all per-core scratch arenas — must be
      *  independent of KvServeParams::requests. */
     std::size_t scratchHighWater = 0;

@@ -146,8 +146,9 @@ TEST(KvServe, OracleAndAccountingAcrossModes)
 }
 
 // Identical (config, params) pairs must be bit-identical: the engine
-// is deterministic, which is what makes the committed BENCH JSON and
-// the CI gate reproducible.
+// is deterministic, which is what makes ext_kv_serving's printed
+// tables reproducible and lets perfbench check a simulated-identity
+// digest on every pass.
 TEST(KvServe, Deterministic)
 {
     const KvServeResult a =
