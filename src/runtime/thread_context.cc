@@ -23,11 +23,18 @@ ThreadContext::abortedSinceBegin() const
 }
 
 OpAwait
+ThreadContext::op(Tick wake, std::uint64_t value, bool abort, Vid vid)
+{
+    return OpAwait{&m_.eq(), wake, value, abort, vid,
+                   &m_.sys().fastStats()};
+}
+
+OpAwait
 ThreadContext::abortedOp()
 {
     // Resume next cycle and throw: the thread unwinds to its recovery
     // handler without touching the memory system further.
-    return OpAwait{&m_.eq(), m_.now() + 1, 0, true, vid_};
+    return op(m_.now() + 1, 0, true, vid_);
 }
 
 void
@@ -52,7 +59,7 @@ ThreadContext::commitMtx(Vid vid)
         return abortedOp();
     Cycles c = m_.sys().commit(vid);
     vid_ = kNonSpecVid;
-    return OpAwait{&m_.eq(), m_.now() + 1 + c, 0, false, vid};
+    return op(m_.now() + 1 + c, 0, false, vid);
 }
 
 void
@@ -73,11 +80,7 @@ ThreadContext::load(Addr a, unsigned size)
     noteAddr(a);
     if (r.needSla && !sla_.full())
         sla_.push({a, vid_, r.value, size});
-    OpAwait op{&m_.eq(), m_.now() + 1 + r.latency, r.value,
-               r.aborted, vid_};
-    op.fastHint = r.fastHit && !r.aborted;
-    op.fstats = &m_.sys().fastStats();
-    return op;
+    return op(m_.now() + 1 + r.latency, r.value, r.aborted, vid_);
 }
 
 OpAwait
@@ -88,11 +91,7 @@ ThreadContext::store(Addr a, std::uint64_t v, unsigned size)
         return abortedOp();
     sim::AccessResult r = m_.sys().store(core_, a, v, size, vid_);
     noteAddr(a);
-    OpAwait op{&m_.eq(), m_.now() + 1 + r.latency, v, r.aborted,
-               vid_};
-    op.fastHint = r.fastHit && !r.aborted;
-    op.fstats = &m_.sys().fastStats();
-    return op;
+    return op(m_.now() + 1 + r.latency, v, r.aborted, vid_);
 }
 
 OpAwait
@@ -101,8 +100,7 @@ ThreadContext::compute(Cycles c)
     insts_ += c; // roughly one instruction per cycle of compute
     if (abortedSinceBegin())
         return abortedOp();
-    return OpAwait{&m_.eq(), m_.now() + (c == 0 ? 1 : c), 0, false,
-                   vid_};
+    return op(m_.now() + (c == 0 ? 1 : c), 0, false, vid_);
 }
 
 OpAwait
@@ -132,16 +130,14 @@ ThreadContext::branch(Addr pc, bool taken)
             sim::AccessResult r =
                 m_.sys().load(core_, lineAddr(wp), 8, vid_, true);
             if (r.aborted && !m_.sys().txPolicy().serializes(vid_))
-                return OpAwait{&m_.eq(), m_.now() + cost, 0, true,
-                               vid_};
+                return op(m_.now() + cost, 0, true, vid_);
         }
     }
     // Branch resolution retires the loads it guarded; their buffered
     // acknowledgments go out (the cache model applied the markings at
     // load time; wrong-path loads never enter the buffer).
     sla_.drain();
-    return OpAwait{&m_.eq(), m_.now() + cost, taken ? 1u : 0u, false,
-                   vid_};
+    return op(m_.now() + cost, taken ? 1u : 0u, false, vid_);
 }
 
 } // namespace hmtx::runtime

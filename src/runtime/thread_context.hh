@@ -27,7 +27,10 @@ class Machine;
 /**
  * Awaitable returned by every timed ThreadContext operation. It
  * carries the already-computed outcome (the operation executed at call
- * time) and schedules its wake-up.
+ * time) and schedules its wake-up — or, when the awaiting coroutine is
+ * the one the event queue is resuming and nothing else is due at or
+ * before `wake`, skips the queue and continues inline at `wake`
+ * (EventQueue::tryBypassResumed, DESIGN.md §13).
  */
 struct OpAwait
 {
@@ -36,11 +39,7 @@ struct OpAwait
     std::uint64_t value = 0;
     bool abort = false;
     Vid vid = 0;
-    /** The access retired on the zero-event fast path (DESIGN.md §13):
-     *  if nothing else can fire before `wake`, skip the event queue
-     *  entirely and continue the coroutine without suspending. */
-    bool fastHint = false;
-    /** Bypass counter sink, set alongside fastHint. */
+    /** Counts wake-ups retired without an event. */
     sim::FastStats* fstats = nullptr;
 
     bool await_ready() const noexcept { return false; }
@@ -48,9 +47,8 @@ struct OpAwait
     bool
     await_suspend(std::coroutine_handle<> h) const
     {
-        if (fastHint && eq->tryBypass(wake)) {
-            if (fstats != nullptr)
-                ++fstats->eventBypasses;
+        if (eq->tryBypassResumed(wake)) {
+            ++fstats->eventBypasses;
             return false; // zero events: continue inline at `wake`
         }
         eq->scheduleResume(wake, h);
@@ -137,6 +135,8 @@ class ThreadContext
 
   private:
     bool abortedSinceBegin() const;
+    /** The awaitable waking this context at @p wake. */
+    OpAwait op(Tick wake, std::uint64_t value, bool abort, Vid vid);
     OpAwait abortedOp();
     void noteAddr(Addr a);
 

@@ -29,16 +29,9 @@ CacheSystem::CacheSystem(const EventQueue& eq, const MachineConfig& cfg)
                          cfg.numCores);
     // The presence mask is one bit per cache; fall back to full snoops
     // beyond 64 caches (far above any modeled configuration).
+    // Nothing is reserved: the filter grows with the footprint, so
+    // the many tiny systems the differential cells build stay cheap.
     filterEnabled_ = caches_.size() <= 64;
-    if (filterEnabled_) {
-        // Pre-size for the L1 working sets so steady-state traffic
-        // does not rehash; larger footprints grow amortized.
-        const std::size_t l1Slots = std::size_t{cfg.numCores} *
-            cfg.l1Sets() * cfg.l1Assoc;
-        const std::size_t total = std::min<std::size_t>(
-            std::max<std::size_t>(l1Slots, 1024), 1u << 16);
-        presence_.reserve(total);
-    }
     net_ = makeInterconnect(cfg_, stats_);
     // Fast path only under the plain HMTX policies: best-effort and
     // limited-set interpose per-access policy state (fallback lock,
@@ -60,8 +53,8 @@ CacheSystem::presenceAdd(std::uint32_t ci, Addr la)
 void
 CacheSystem::presenceRemove(std::uint32_t ci, Addr la)
 {
-    auto it = presence_.find(la);
-    if (it == presence_.end())
+    std::uint64_t* mask = presence_.find(la);
+    if (mask == nullptr)
         return; // unreachable while bookkeeping is sound
     // The mask carries no per-cache counts: rescan the (tiny) owning
     // set to learn whether another version of la keeps the bit alive.
@@ -69,9 +62,9 @@ CacheSystem::presenceRemove(std::uint32_t ci, Addr la)
     for (const auto& l : caches_[ci].set(la).lines)
         if (l.bk.present && l.bk.presentAddr == la)
             return;
-    it->second &= ~(std::uint64_t{1} << ci);
-    if (it->second == 0)
-        presence_.erase(it);
+    *mask &= ~(std::uint64_t{1} << ci);
+    if (*mask == 0)
+        presence_.erase(la);
 }
 
 void
@@ -112,28 +105,33 @@ CacheSystem::maybeCrossCheck()
 
 // --- validation-set accessors -------------------------------------------
 
+namespace
+{
+
+std::vector<Addr>
+sortedLines(const FlatLineSet& set)
+{
+    std::vector<Addr> out;
+    out.reserve(set.size());
+    set.forEach([&](Addr la, NoValue) { out.push_back(la); });
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+} // namespace
+
 std::vector<Addr>
 CacheSystem::readSetOf(Vid vid) const
 {
-    auto it = rw_.find(vid);
-    if (it == rw_.end())
-        return {};
-    std::vector<Addr> out(it->second.reads.begin(),
-                          it->second.reads.end());
-    std::sort(out.begin(), out.end());
-    return out;
+    return vid < rw_.size() ? sortedLines(rw_[vid].reads)
+                            : std::vector<Addr>{};
 }
 
 std::vector<Addr>
 CacheSystem::writeSetOf(Vid vid) const
 {
-    auto it = rw_.find(vid);
-    if (it == rw_.end())
-        return {};
-    std::vector<Addr> out(it->second.writes.begin(),
-                          it->second.writes.end());
-    std::sort(out.begin(), out.end());
-    return out;
+    return vid < rw_.size() ? sortedLines(rw_[vid].writes)
+                            : std::vector<Addr>{};
 }
 
 // --- self-checks --------------------------------------------------------
@@ -149,10 +147,10 @@ CacheSystem::checkInvariants()
     // Collect every cached address. The presence filter already keys
     // on exactly the live addresses; fall back to a full scan when it
     // is disabled.
-    std::unordered_set<Addr> addrs;
+    FlatLineSet addrs;
     if (filterEnabled_) {
-        for (const auto& [la, p] : presence_)
-            addrs.insert(la);
+        presence_.forEach(
+            [&](Addr la, std::uint64_t) { addrs.insert(la); });
     } else {
         for (auto& c : caches_) {
             c.forEachLine([&](Line& l) {
@@ -171,11 +169,12 @@ CacheSystem::checkInvariants()
             addrs.insert(l.base);
     });
     const Vid maxV = cfg_.maxVid();
-    for (Addr la : addrs) {
+    std::vector<Line> live;
+    addrs.forEach([&](Addr la, NoValue) {
         // The check judges lines as of the current LC VID, so fold the
         // lazy-commit transitions into *snapshots* — the cached state
         // itself stays untouched (this check is read-only).
-        std::vector<Line> live;
+        live.clear();
         for (auto& c : caches_) {
             for (auto& l : c.set(la).lines) {
                 if (l.state == State::Invalid || l.base != la)
@@ -194,19 +193,23 @@ CacheSystem::checkInvariants()
             if (s.state != State::Invalid)
                 live.push_back(s);
         });
-        bool anySpec = false, anyNonSpec = false, responder = false;
+        bool anySpec = false, anyNonSpec = false;
+        unsigned responders = 0;
         for (const Line& s : live) {
             (isSpec(s.state) ? anySpec : anyNonSpec) = true;
-            responder = responder || isSpecResponder(s.state);
+            responders += isSpecResponder(s.state) ? 1 : 0;
         }
         // Only responder-class speculative versions conflict with
         // non-speculative copies; S-S copies of committed data
         // legally linger until their readers commit.
-        if (anySpec && anyNonSpec && responder) {
+        if (anySpec && anyNonSpec && responders != 0) {
             throw std::logic_error(
                 "protocol invariant violated: speculative and "
                 "non-speculative versions coexist");
         }
+        // Two responders must hit one VID for the check below to fail.
+        if (responders < 2)
+            return;
         for (Vid a = 0; a <= maxV; ++a) {
             Vid mods[2];
             int n = 0;
@@ -225,7 +228,7 @@ CacheSystem::checkInvariants()
                     "responder versions hit one VID");
             }
         }
-    }
+    });
 }
 
 void
@@ -234,7 +237,7 @@ CacheSystem::verifyIndexes()
     ++idxStats_.crossChecks;
     // Rebuild the expected presence masks from a full scan and check
     // the per-slot bookkeeping along the way.
-    std::unordered_map<Addr, std::uint64_t> want;
+    FlatLineTable<std::uint64_t> want;
     for (std::size_t ci = 0; ci < caches_.size(); ++ci) {
         caches_[ci].forEachLine([&](Line& l) {
             if (l.bk.cacheId != ci) {
@@ -278,48 +281,51 @@ CacheSystem::verifyIndexes()
                 std::to_string(tracked) + " addresses, scan found " +
                 std::to_string(want.size()));
         }
-        for (const auto& [la, mask] : want) {
-            auto it = presence_.find(la);
-            if (it == presence_.end()) {
+        want.forEach([&](Addr la, std::uint64_t mask) {
+            const std::uint64_t* have = presence_.find(la);
+            if (have == nullptr) {
                 throw std::logic_error(
                     "index check: cached address missing from the "
                     "presence filter");
             }
-            if (it->second != mask) {
+            if (*have != mask) {
                 throw std::logic_error(
                     "index check: presence mask mismatch");
             }
-        }
+        });
     }
     // Registries may hold stale (no longer in-class) entries, but
     // every entry must be flagged and unique within its class so lazy
     // purging stays linear.
+    std::vector<const Line*> entries;
+    auto checkUnique = [&](const Cache& c, const char* cls) {
+        std::sort(entries.begin(), entries.end());
+        if (std::adjacent_find(entries.begin(), entries.end()) !=
+            entries.end()) {
+            throw std::logic_error(std::string("index check: duplicate ") +
+                                   cls + "-registry entry in " + c.name());
+        }
+        entries.clear();
+    };
     for (auto& c : caches_) {
-        std::unordered_set<const Line*> seenSpec, seenDirty;
         c.forEachSpecRegistryEntry([&](const Line* l) {
             if (!l->bk.onSpecReg) {
                 throw std::logic_error(
                     "index check: unflagged spec-registry entry in " +
                     c.name());
             }
-            if (!seenSpec.insert(l).second) {
-                throw std::logic_error(
-                    "index check: duplicate spec-registry entry in " +
-                    c.name());
-            }
+            entries.push_back(l);
         });
+        checkUnique(c, "spec");
         c.forEachDirtyRegistryEntry([&](const Line* l) {
             if (!l->bk.onDirtyReg) {
                 throw std::logic_error(
                     "index check: unflagged dirty-registry entry "
                     "in " + c.name());
             }
-            if (!seenDirty.insert(l).second) {
-                throw std::logic_error(
-                    "index check: duplicate dirty-registry entry "
-                    "in " + c.name());
-            }
+            entries.push_back(l);
         });
+        checkUnique(c, "dirty");
     }
 }
 

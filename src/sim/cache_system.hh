@@ -24,8 +24,6 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/comparator.hh"
@@ -36,6 +34,7 @@
 #include "sim/cache.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
+#include "sim/flat_line_table.hh"
 #include "sim/interconnect.hh"
 #include "sim/memory.hh"
 #include "sim/overflow_table.hh"
@@ -61,12 +60,6 @@ struct AccessResult
     bool aborted = false;
     /** True when the request was satisfied by the local L1. */
     bool l1Hit = false;
-    /**
-     * True when the zero-event fast path retired the access
-     * (simulator-side: architectural effects are identical to the full
-     * path; the runtime uses this as the event-bypass hint).
-     */
-    bool fastHit = false;
 };
 
 /**
@@ -388,10 +381,10 @@ class CacheSystem
                 fn(ci);
             return;
         }
-        auto it = presence_.find(la);
         // Snapshot the holder mask: fn may invalidate lines and
         // thereby shrink (or erase) the filter entry while we iterate.
-        const std::uint64_t mask = it == presence_.end() ? 0 : it->second;
+        const std::uint64_t* held = presence_.find(la);
+        const std::uint64_t mask = held == nullptr ? 0 : *held;
         const auto holders =
             static_cast<std::uint64_t>(std::popcount(mask));
         idxStats_.snoopsVisited += holders;
@@ -492,8 +485,8 @@ class CacheSystem
      * Record (vid, la) in the per-VID read/write sets. @p l, when
      * given, is a cache-resident line of address @p la: its rw marks
      * (Line::rwReadVid/rwWriteVid/rwGen) let the common re-touch of an
-     * already-recorded line skip the hash-set insert entirely. Marks
-     * are validated against rwGen_, which bumps whenever rw_ is
+     * already-recorded line skip the set insert entirely. Marks are
+     * validated against rwGen_, which bumps whenever the sets are
      * cleared wholesale (abort, VID reset).
      */
     void recordRead(Vid vid, Addr la, Line* l = nullptr);
@@ -616,33 +609,48 @@ class CacheSystem
      * maintained by syncLine() and consulted by forEachSnoopTarget().
      * Mask-only: when a cache drops its last counted copy the owning
      * set is rescanned to decide whether the bit survives (sets are
-     * tiny, and removals are far rarer than the adds/probes the
-     * per-cache count vectors used to tax). Empty-masked entries are
-     * erased eagerly.
+     * tiny, and removals are far rarer than adds and probes).
+     * Empty-masked entries are erased eagerly.
      */
-    std::unordered_map<Addr, std::uint64_t> presence_;
+    FlatLineTable<std::uint64_t> presence_;
     /** False when caches_.size() > 64 bits of mask; filter disabled. */
     bool filterEnabled_ = true;
     IndexStats idxStats_;
 
     /** Wrong-path shadow marks: line -> highest wrong-path VID (§5.1
      *  "aborts avoided via SLA" accounting). */
-    std::unordered_map<Addr, Vid> shadow_;
+    FlatLineTable<Vid> shadow_;
 
-    /** Per-live-VID read/write line sets (Figure 9 accounting). */
+    /** One VID's read/write line sets (Figure 9 accounting). */
     struct RwSets
     {
-        std::unordered_set<Addr> reads;
-        std::unordered_set<Addr> writes;
+        FlatLineSet reads;
+        FlatLineSet writes;
+        /** |reads ∪ writes|, kept current by recordRead/recordWrite. */
+        std::size_t combined = 0;
+
+        /** Empties both sets, keeping their slots. */
+        void
+        clear()
+        {
+            reads.clear();
+            writes.clear();
+            combined = 0;
+        }
     };
-    std::unordered_map<Vid, RwSets> rw_;
-    /** Returns rw_[vid] through a one-entry cache. */
-    RwSets& rwFor(Vid vid);
-    /** Last VID whose sets were looked up (see rwFor). */
-    Vid rwCachedVid_ = 0;
-    RwSets* rwCached_ = nullptr;
     /**
-     * Generation validating Line rw marks; bumped whenever rw_ is
+     * Per-VID read/write sets, indexed by VID and grown on first use.
+     * A VID is live while its sets are non-empty; commit and abort
+     * clear them but keep their slots for the VID's next transaction.
+     */
+    std::vector<RwSets> rw_;
+    /** VIDs whose sets are non-empty, in first-touch order. */
+    std::vector<Vid> rwLive_;
+    /** rw_[vid] for an insert: grows rw_ as needed and enlists an
+     *  empty @p vid as live (the caller's insert is about to fill it). */
+    RwSets& rwFor(Vid vid);
+    /**
+     * Generation validating Line rw marks; bumped whenever the sets are
      * cleared wholesale (abort, VID reset) so stale marks from a
      * previous transaction era can never suppress a fresh insert.
      * Starts at 1: default-initialized lines (rwGen = 0) are stale.

@@ -193,14 +193,12 @@ CacheSystem::triggerAbort(const Line* offender)
 CacheSystem::RwSets&
 CacheSystem::rwFor(Vid vid)
 {
-    // Accesses cluster heavily by VID (each core works through one
-    // transaction at a time), so cache the last node instead of
-    // re-hashing per access. Node pointers are stable across inserts.
-    if (rwCached_ && rwCachedVid_ == vid)
-        return *rwCached_;
-    rwCached_ = &rw_[vid];
-    rwCachedVid_ = vid;
-    return *rwCached_;
+    if (vid >= rw_.size())
+        rw_.resize(vid + 1);
+    RwSets& s = rw_[vid];
+    if (s.combined == 0)
+        rwLive_.push_back(vid);
+    return s;
 }
 
 void
@@ -208,7 +206,9 @@ CacheSystem::recordRead(Vid vid, Addr la, Line* l)
 {
     if (l && l->rwGen == rwGen_ && l->rwReadVid == vid)
         return; // this line's read is already in vid's set
-    rwFor(vid).reads.insert(la);
+    RwSets& s = rwFor(vid);
+    if (s.reads.insert(la) && !s.writes.contains(la))
+        ++s.combined;
     if (l) {
         if (l->rwGen != rwGen_) {
             // Entering the current generation invalidates whatever
@@ -225,7 +225,9 @@ CacheSystem::recordWrite(Vid vid, Addr la, Line* l)
 {
     if (l && l->rwGen == rwGen_ && l->rwWriteVid == vid)
         return; // this line's write is already in vid's set
-    rwFor(vid).writes.insert(la);
+    RwSets& s = rwFor(vid);
+    if (s.writes.insert(la) && !s.reads.contains(la))
+        ++s.combined;
     if (l) {
         if (l->rwGen != rwGen_) {
             l->rwGen = rwGen_;
@@ -249,17 +251,17 @@ CacheSystem::checkShadowAvoided(Addr la, Vid storeVid)
     // the hash probe entirely on the (typical) run without any.
     if (shadow_.empty())
         return;
-    auto it = shadow_.find(la);
-    if (it == shadow_.end())
+    const Vid* v = shadow_.find(la);
+    if (v == nullptr)
         return;
-    if (it->second > storeVid) {
+    if (*v > storeVid) {
         // Without SLAs the wrong-path load would have marked the line
         // with its higher VID and this (successful) store would have
         // triggered a false abort (§5.1, Table 1).
         ++stats_.avoidedAborts;
-        shadow_.erase(it);
-    } else if (it->second <= lcVid_) {
-        shadow_.erase(it);
+        shadow_.erase(la);
+    } else if (*v <= lcVid_) {
+        shadow_.erase(la);
     }
 }
 
@@ -270,18 +272,13 @@ CacheSystem::limitedSetBlocks(Vid vid, Addr la)
 {
     if (!policy_.limitsSpecSets())
         return false;
-    auto it = rw_.find(vid);
-    if (it == rw_.end())
+    if (vid >= rw_.size())
         return policy_.limitedSetExceeded(0);
-    const RwSets& s = it->second;
+    const RwSets& s = rw_[vid];
     // Re-touching a line already in the sets never costs a new entry.
-    if (s.reads.count(la) || s.writes.count(la))
+    if (s.reads.contains(la) || s.writes.contains(la))
         return false;
-    std::size_t combined = s.reads.size();
-    for (Addr w : s.writes)
-        if (!s.reads.count(w))
-            ++combined;
-    return policy_.limitedSetExceeded(combined);
+    return policy_.limitedSetExceeded(s.combined);
 }
 
 AccessResult
@@ -1035,7 +1032,7 @@ CacheSystem::fastProbe(CoreId core, Addr a, Vid vid, bool isStore)
             // would then diverge), and another VID's slow-path access
             // can steal the line's rw mark without invalidating the
             // fast tags. The current rw mark proves the
-            // recordRead/recordWrite hash insert is a no-op.
+            // recordRead/recordWrite set insert is a no-op.
             if (isStore && !shadow_.empty())
                 return nullptr;
             if (l.rwGen != rwGen_ ||
@@ -1079,7 +1076,6 @@ CacheSystem::fastAccess(CoreId core, Addr a, std::uint64_t value,
     ++stats_.l1Hits;
     r.latency = cfg_.l1Latency;
     r.l1Hit = true;
-    r.fastHit = true;
     return true;
 }
 

@@ -35,21 +35,15 @@ CacheSystem::commit(Vid vid)
     ++stats_.committedTxs;
     trace_.event(TraceCommit, eq_.curTick(), "commit VID %u", vid);
 
-    auto it = rw_.find(vid);
-    if (it != rw_.end()) {
-        std::size_t rl = it->second.reads.size();
-        std::size_t wl = it->second.writes.size();
-        std::size_t comb = rl;
-        for (Addr w : it->second.writes)
-            if (!it->second.reads.count(w))
-                ++comb;
-        stats_.readSetLines += rl;
-        stats_.writeSetLines += wl;
-        stats_.combinedSetLines += comb;
+    if (vid < rw_.size() && rw_[vid].combined != 0) {
+        RwSets& s = rw_[vid];
+        stats_.readSetLines += s.reads.size();
+        stats_.writeSetLines += s.writes.size();
+        stats_.combinedSetLines += s.combined;
         stats_.maxCombinedSetLines =
-            std::max<std::uint64_t>(stats_.maxCombinedSetLines, comb);
-        rwCached_ = nullptr;
-        rw_.erase(it);
+            std::max<std::uint64_t>(stats_.maxCombinedSetLines, s.combined);
+        s.clear();
+        std::erase(rwLive_, vid);
     }
 
     policy_.onCommit(vid);
@@ -114,8 +108,9 @@ CacheSystem::abortAll()
         });
     const std::uint64_t touched = agg.n[0];
     stats_.writebacks += agg.n[1];
-    rwCached_ = nullptr;
-    rw_.clear();
+    for (Vid v : rwLive_)
+        rw_[v].clear();
+    rwLive_.clear();
     ++rwGen_; // stale Line rw marks must not suppress future inserts
     shadow_.clear();
     policy_.onAbort();
@@ -138,7 +133,7 @@ CacheSystem::vidReset()
     // would leave the machine reset in all but name — exactly the
     // stale-tag hazard §4.6 warns about.
     ++fastGen_; // VID recycling / bulk rewrite: retire all fast tags
-    if (!rw_.empty()) {
+    if (!rwLive_.empty()) {
         throw std::logic_error(
             "vidReset with outstanding uncommitted transactions");
     }

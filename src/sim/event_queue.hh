@@ -124,6 +124,30 @@ class EventQueue
         return true;
     }
 
+    /**
+     * tryBypass() for the wake-up of the coroutine step() is resuming
+     * right now: the awaiting coroutine would otherwise suspend back
+     * into step(), whose next event is this very wake-up, so
+     * continuing inline is the same run. Anywhere else — a root
+     * task's start before its siblings are spawned, a boxed callback
+     * resuming a coroutine — code after the suspension still runs at
+     * the current tick, and jumping time would run it late.
+     *
+     * Each inline continuation can leave the coroutine's task chain
+     * one level deeper on the host stack (symmetric transfer is a
+     * tail call only where the compiler emits one; the sanitizer
+     * build does not). So one resume takes at most kMaxInlineWakeups
+     * of them; the next op schedules normally and the stack unwinds.
+     */
+    bool
+    tryBypassResumed(Tick wake)
+    {
+        if (inlineBudget_ == 0 || !tryBypass(wake))
+            return false;
+        --inlineBudget_;
+        return true;
+    }
+
     /** Tick of the next pending event. @pre pending() != 0 */
     Tick
     nextWhen() const
@@ -150,10 +174,13 @@ class EventQueue
         Event ev = std::move(b[drainIdx_++]);
         --wheelCount_;
         ++executed_;
-        if (ev.h)
+        if (ev.h) {
+            inlineBudget_ = kMaxInlineWakeups;
             ev.h.resume();
-        else
+            inlineBudget_ = 0;
+        } else {
             (*ev.fn)();
+        }
         return true;
     }
 
@@ -179,6 +206,8 @@ class EventQueue
      *  heap. Must be a power of two. */
     static constexpr std::size_t kWheelTicks = 4096;
     static constexpr std::size_t kMask = kWheelTicks - 1;
+    /** Inline wake-ups one coroutine resume may take. */
+    static constexpr unsigned kMaxInlineWakeups = 64;
 
     // Coroutine wake-ups are the dominant event kind by orders of
     // magnitude, so the Event is kept small and trivially movable:
@@ -312,6 +341,9 @@ class EventQueue
     Tick now_ = 0;
     std::uint64_t seq_ = 0;
     std::uint64_t executed_ = 0;
+    /** Inline wake-ups left to the coroutine step() is resuming;
+     *  0 everywhere else (see tryBypassResumed). */
+    unsigned inlineBudget_ = 0;
 };
 
 } // namespace hmtx::sim

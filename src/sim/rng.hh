@@ -7,9 +7,13 @@
 #define HMTX_SIM_RNG_HH
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <map>
+#include <mutex>
+#include <utility>
 #include <vector>
 
 namespace hmtx::sim
@@ -68,6 +72,16 @@ class Rng
 class ZipfSampler
 {
   public:
+    /**
+     * The process-wide immutable sampler for (@p n, @p theta), built
+     * on first request and kept for the life of the process: a
+     * serving sweep constructs one engine per cell, and rebuilding
+     * the n-entry table (n pow calls) each time costs more than many
+     * small cells' simulation. Safe to call from several threads;
+     * draws are identical to a private sampler's.
+     */
+    static const ZipfSampler& shared(std::uint64_t n, double theta);
+
     ZipfSampler(std::uint64_t n, double theta)
         : theta_(theta)
     {
@@ -113,6 +127,17 @@ class ZipfSampler
     double total_ = 0.0;
     std::vector<double> cdf_;
 };
+
+inline const ZipfSampler&
+ZipfSampler::shared(std::uint64_t n, double theta)
+{
+    static std::mutex mu;
+    static std::map<std::pair<std::uint64_t, std::uint64_t>, ZipfSampler>
+        cache;
+    const std::lock_guard<std::mutex> lock(mu);
+    const auto key = std::make_pair(n, std::bit_cast<std::uint64_t>(theta));
+    return cache.try_emplace(key, n, theta).first->second;
+}
 
 /**
  * Bounded-Pareto sampler over [lo, hi] with shape alpha: the

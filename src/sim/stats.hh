@@ -188,8 +188,9 @@ struct FastStats
      *  because the generation was stale (the line or the system was
      *  touched by a protocol action since the tag was planted). */
     std::uint64_t genRejections = 0;
-    /** Event-queue schedules bypassed entirely (access retired with
-     *  no event allocated; runtime-driven runs only). */
+    /** Timed runtime ops (any kind, fast-path hit or not) whose
+     *  wake-up continued inline instead of scheduling an event
+     *  (EventQueue::tryBypassResumed; runtime-driven runs only). */
     std::uint64_t eventBypasses = 0;
 
     /** Total fast-path retirements. */

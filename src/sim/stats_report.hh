@@ -225,7 +225,7 @@ class StatsReport
               "probes rejected by a stale generation tag");
         k.row("sim.fastpath.eventBypasses",
               double(fast.eventBypasses),
-              "wake-ups retired inline via the queue bypass");
+              "timed ops whose wake-up skipped the event queue");
         k.rate("sim.fastpath.hitRate", fast.hitRate(),
                "fraction of probed accesses retired fast");
     }

@@ -105,7 +105,7 @@ class Engine
   public:
     Engine(const sim::MachineConfig& cfg, const KvServeParams& p)
         : cfg_(cfg), p_(p), sys_(eq_, cfg), lanes_(cfg.numCores),
-          zipf_(p.keys, p.zipfTheta),
+          zipf_(sim::ZipfSampler::shared(p.keys, p.zipfTheta)),
           onLen_(2.0, 512.0, p.burstAlpha <= 1e-3 ? 1.5 : p.burstAlpha)
     {
         if (p_.tableBuckets == 0 || p_.keys == 0 || p_.ringCap == 0) {
@@ -158,7 +158,8 @@ class Engine
     sim::EventQueue eq_;
     sim::CacheSystem sys_;
     LaneClock lanes_;
-    sim::ZipfSampler zipf_;
+    /** Shared per (keys, theta) across every engine in the process. */
+    const sim::ZipfSampler& zipf_;
     sim::BoundedParetoSampler onLen_;
     Addr tableBase_ = 0;
     std::vector<runtime::ScratchArena> arenas_;

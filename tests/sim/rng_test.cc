@@ -13,6 +13,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "sim/rng.hh"
@@ -102,6 +103,24 @@ TEST(Zipf, SeededDrawsReproduce)
     Rng a(31337), b(31337);
     for (int i = 0; i < 1000; ++i)
         ASSERT_EQ(zipf(a), zipf(b));
+}
+
+TEST(Zipf, SharedSamplerIsOnePerProcessAndDrawsLikeAPrivateOne)
+{
+    // Two threads asking for the same (n, theta) get the same table;
+    // another theta gets its own. Draws match a private sampler's.
+    const ZipfSampler* seen[2] = {};
+    std::thread a([&] { seen[0] = &ZipfSampler::shared(512, 0.9); });
+    std::thread b([&] { seen[1] = &ZipfSampler::shared(512, 0.9); });
+    a.join();
+    b.join();
+    EXPECT_EQ(seen[0], seen[1]);
+    EXPECT_EQ(seen[0], &ZipfSampler::shared(512, 0.9));
+    EXPECT_NE(seen[0], &ZipfSampler::shared(512, 1.2));
+    ZipfSampler priv(512, 0.9);
+    Rng x(99), y(99);
+    for (int i = 0; i < 1000; ++i)
+        ASSERT_EQ((*seen[0])(x), priv(y));
 }
 
 TEST(BoundedPareto, SamplesStayInBounds)

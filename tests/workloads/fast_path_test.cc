@@ -222,9 +222,9 @@ TEST(FastPathGate, BoundedPoliciesDisableFastPath)
 }
 
 /** On a quiet queue (single-lane sequential schedule, snoopy bus) the
- *  fast path must retire hits with literally zero events: the
- *  event-queue bypass fires and executed() stays behind the
- *  fast-path-off run's count. */
+ *  fast path must retire hits with literally zero events: the hits
+ *  happen and the wake-up bypass fires, with every architectural
+ *  result equal to the fast-path-off run. */
 TEST(FastPathBypass, SequentialHitsScheduleNoEvents)
 {
     LinkedListWorkload::Params p;
