@@ -13,6 +13,26 @@
 namespace hmtx::runtime
 {
 
+ExecResult
+collectRun(Machine& m, LoopWorkload& wl, std::string model)
+{
+    ExecResult r;
+    r.model = std::move(model);
+    r.cycles = m.now();
+    m.sys().flushDirtyToMemory();
+    r.checksum = wl.checksum(m);
+    r.stats = m.sys().stats();
+    r.txStats = m.sys().txPolicy().stats();
+    r.indexStats = m.sys().indexStats();
+    r.fastStats = m.sys().fastStats();
+    for (CoreId c = 0; c < m.config().numCores; ++c) {
+        r.instructions += m.ctx(c).instructions();
+        r.branches += m.ctx(c).predictor().branches();
+        r.mispredicts += m.ctx(c).predictor().mispredicts();
+    }
+    return r;
+}
+
 // --- VidCoordinator -----------------------------------------------------
 
 VidCoordinator::VidCoordinator(Machine& m, const bool* recovering)
@@ -324,21 +344,8 @@ doacrossTask(Shared& sh, unsigned w, unsigned workers)
 ExecResult
 collect(Machine& m, LoopWorkload& wl, Shared* sh, std::string model)
 {
-    ExecResult r;
-    r.model = std::move(model);
-    r.cycles = m.now();
-    m.sys().flushDirtyToMemory();
-    r.checksum = wl.checksum(m);
-    r.stats = m.sys().stats();
-    r.txStats = m.sys().txPolicy().stats();
-    r.indexStats = m.sys().indexStats();
-    r.fastStats = m.sys().fastStats();
+    ExecResult r = collectRun(m, wl, std::move(model));
     r.transactions = r.stats.committedTxs;
-    for (CoreId c = 0; c < m.config().numCores; ++c) {
-        r.instructions += m.ctx(c).instructions();
-        r.branches += m.ctx(c).predictor().branches();
-        r.mispredicts += m.ctx(c).predictor().mispredicts();
-    }
     if (sh) {
         r.vidResets = sh->coord.resets();
         r.vidStallCycles = sh->coord.stallCycles();

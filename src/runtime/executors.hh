@@ -64,6 +64,15 @@ struct ExecResult
 };
 
 /**
+ * Fills the fields every runner reads the same way once @p m has
+ * drained: cycles, then (after flushing dirty lines to memory) the
+ * workload checksum, the memory-system, tx-mode, index and fast-path
+ * stats, and the per-core instruction and branch counts. Callers add
+ * their own transaction and runner counters.
+ */
+ExecResult collectRun(Machine& m, LoopWorkload& wl, std::string model);
+
+/**
  * Shared VID-window sequencing: maps iteration numbers to (epoch, VID)
  * pairs, gates transaction begin on the epoch (stalling at window
  * exhaustion until the reset, §4.6), and serializes commits in

@@ -29,8 +29,11 @@ void
 Machine::run()
 {
     eq_.run();
-    for (auto& t : roots_) {
+    // A root that failed leaves its siblings blocked on it, so its
+    // exception is the report, not their deadlock.
+    for (auto& t : roots_)
         t.rethrow();
+    for (auto& t : roots_) {
         if (!t.done()) {
             throw std::logic_error(
                 "Machine::run: event queue drained but a task is "

@@ -29,7 +29,7 @@ class Machine;
  * carries the already-computed outcome (the operation executed at call
  * time) and schedules its wake-up — or, when the awaiting coroutine is
  * the one the event queue is resuming and nothing else is due at or
- * before `wake`, skips the queue and continues inline at `wake`
+ * before `wake`, never suspends and continues inline at `wake`
  * (EventQueue::tryBypassResumed, DESIGN.md §13).
  */
 struct OpAwait
@@ -42,17 +42,19 @@ struct OpAwait
     /** Counts wake-ups retired without an event. */
     sim::FastStats* fstats = nullptr;
 
-    bool await_ready() const noexcept { return false; }
-
     bool
+    await_ready() const
+    {
+        if (!eq->tryBypassResumed(wake))
+            return false;
+        ++fstats->eventBypasses;
+        return true; // zero events: continue inline at `wake`
+    }
+
+    void
     await_suspend(std::coroutine_handle<> h) const
     {
-        if (eq->tryBypassResumed(wake)) {
-            ++fstats->eventBypasses;
-            return false; // zero events: continue inline at `wake`
-        }
         eq->scheduleResume(wake, h);
-        return true;
     }
 
     std::uint64_t

@@ -7,13 +7,10 @@
 #define HMTX_SIM_EVENT_QUEUE_HH
 
 #include <algorithm>
-#include <bit>
 #include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
-#include <utility>
 #include <vector>
 
 #include "core/types.hh"
@@ -26,31 +23,37 @@ namespace hmtx::sim
  *
  * Every timed behaviour in the simulator (memory latencies, bus
  * occupancy, core compute delays, coroutine wake-ups) is an event.
- * Events at the same tick fire in schedule order, so a run is fully
- * deterministic for a given workload and seed.
+ * Events fire in (when, seq) order: by tick, and within a tick in
+ * schedule order, so a run is fully deterministic for a given
+ * workload and seed.
  *
- * Storage is a calendar wheel: events due within the next kWheelTicks
- * cycles go into a per-tick bucket (O(1) push/pop, appends are already
- * in schedule order), and the rare far-future event (saturated-fabric
- * wake-ups, bulk-walk occupancy) waits in an overflow heap until its
- * tick comes up. Firing order is exactly the (when, seq) order the
- * classic binary-heap implementation produced: a bucket that receives
- * migrated overflow events is re-sorted by sequence number before it
- * drains.
+ * Storage is one binary min-heap of small trivially copyable records.
+ * A runtime machine holds about one pending event per core (each
+ * core's next wake-up), so the heap stays a few entries deep.
  */
 class EventQueue
 {
   public:
     using Callback = std::function<void()>;
 
+    EventQueue() = default;
+    EventQueue(const EventQueue&) = delete;
+    EventQueue& operator=(const EventQueue&) = delete;
+
+    ~EventQueue()
+    {
+        for (const Event& ev : heap_)
+            delete ev.fn;
+    }
+
     /** Current simulated time. */
     Tick curTick() const { return now_; }
 
     /** True when no events are pending. */
-    bool empty() const { return pending() == 0; }
+    bool empty() const { return heap_.empty(); }
 
     /** Number of pending events. */
-    std::size_t pending() const { return wheelCount_ + far_.size(); }
+    std::size_t pending() const { return heap_.size(); }
 
     /** Total events ever executed. */
     std::uint64_t executed() const { return executed_; }
@@ -62,8 +65,9 @@ class EventQueue
     void
     schedule(Tick when, Callback cb)
     {
-        push(Event{when, seq_++, {},
-                   std::make_unique<Callback>(std::move(cb))});
+        auto fn = std::make_unique<Callback>(std::move(cb));
+        push(when, {}, fn.get());
+        fn.release();
     }
 
     /** Schedules @p cb to run @p delay cycles from now. */
@@ -82,7 +86,7 @@ class EventQueue
     void
     scheduleResume(Tick when, std::coroutine_handle<> h)
     {
-        push(Event{when, seq_++, h, {}});
+        push(when, h, nullptr);
     }
 
     /** Schedules a coroutine resumption @p delay cycles from now. */
@@ -98,28 +102,15 @@ class EventQueue
      * exactly as if a resumption had been scheduled at @p wake and
      * immediately fired as the sole event of that tick. Legal — and
      * taken — only when nothing else could fire first: the queue is
-     * empty, or every pending event lies strictly after @p wake. The
-     * target bucket is provably free of pending events in that case
-     * (any wheel event aliasing it would itself be pending at or
-     * before @p wake), so the jump preserves the wheel invariants.
+     * empty, or every pending event lies strictly after @p wake.
      * executed() intentionally does not count bypassed wake-ups.
      * @return true when the jump was taken (@p wake is now curTick())
      */
     bool
     tryBypass(Tick wake)
     {
-        if (wake < now_)
+        if (wake < now_ || (!empty() && nextWhen() <= wake))
             return false;
-        if (pending() != 0 && nextWhen() <= wake)
-            return false;
-        // Retire the current tick's bucket exactly as advance() does.
-        auto* b = &wheel_[bucketOf(now_)];
-        if (drainIdx_ != 0) {
-            b->clear();
-            drainIdx_ = 0;
-            const std::size_t bi = bucketOf(now_);
-            occ_[bi >> 6] &= ~(std::uint64_t{1} << (bi & 63));
-        }
         now_ = wake;
         return true;
     }
@@ -133,11 +124,13 @@ class EventQueue
      * resuming a coroutine — code after the suspension still runs at
      * the current tick, and jumping time would run it late.
      *
-     * Each inline continuation can leave the coroutine's task chain
-     * one level deeper on the host stack (symmetric transfer is a
-     * tail call only where the compiler emits one; the sanitizer
-     * build does not). So one resume takes at most kMaxInlineWakeups
-     * of them; the next op schedules normally and the stack unwinds.
+     * A Task that completes without suspending returns to its awaiter
+     * by symmetric transfer, which is a tail call only where the
+     * compiler emits one (the sanitizer build does not), so a long
+     * run of inline continuations through Task chains can leave the
+     * host stack one level deeper each time. One resume therefore
+     * takes at most kMaxInlineWakeups of them; the next op schedules
+     * normally and the stack unwinds.
      */
     bool
     tryBypassResumed(Tick wake)
@@ -149,15 +142,7 @@ class EventQueue
     }
 
     /** Tick of the next pending event. @pre pending() != 0 */
-    Tick
-    nextWhen() const
-    {
-        if (drainIdx_ < wheel_[bucketOf(now_)].size())
-            return now_;
-        const Tick wn = nextWheelTick();
-        const Tick fn = far_.empty() ? ~Tick{0} : far_.top().when;
-        return std::min(wn, fn);
-    }
+    Tick nextWhen() const { return heap_.front().when; }
 
     /**
      * Executes the next event, advancing simulated time.
@@ -166,20 +151,20 @@ class EventQueue
     bool
     step()
     {
-        if (!advance())
+        if (heap_.empty())
             return false;
-        auto& b = wheel_[bucketOf(now_)];
-        // Move the event out first: the callback may append to this
-        // very bucket (delay-0 schedules) and reallocate it.
-        Event ev = std::move(b[drainIdx_++]);
-        --wheelCount_;
+        std::pop_heap(heap_.begin(), heap_.end(), later);
+        const Event ev = heap_.back();
+        heap_.pop_back();
+        now_ = ev.when;
         ++executed_;
         if (ev.h) {
             inlineBudget_ = kMaxInlineWakeups;
             ev.h.resume();
             inlineBudget_ = 0;
         } else {
-            (*ev.fn)();
+            const std::unique_ptr<Callback> fn(ev.fn);
+            (*fn)();
         }
         return true;
     }
@@ -195,149 +180,45 @@ class EventQueue
     void
     runUntil(Tick limit)
     {
-        while (pending() != 0 && nextWhen() <= limit)
+        while (!empty() && nextWhen() <= limit)
             step();
-        if (now_ < limit && pending() == 0)
+        if (now_ < limit && empty())
             now_ = limit;
     }
 
   private:
-    /** Wheel span in ticks; latencies beyond this overflow to the
-     *  heap. Must be a power of two. */
-    static constexpr std::size_t kWheelTicks = 4096;
-    static constexpr std::size_t kMask = kWheelTicks - 1;
     /** Inline wake-ups one coroutine resume may take. */
     static constexpr unsigned kMaxInlineWakeups = 64;
 
     // Coroutine wake-ups are the dominant event kind by orders of
-    // magnitude, so the Event is kept small and trivially movable:
+    // magnitude, so the record is kept small and trivially copyable:
     // the handle is stored inline and the occasional general callback
-    // is boxed.
+    // is boxed, owned by the queue until it fires.
     struct Event
     {
         Tick when;
         std::uint64_t seq;
-        std::coroutine_handle<> h;    // set → resume directly
-        std::unique_ptr<Callback> fn; // otherwise the boxed callback
-
-        bool
-        operator>(const Event& o) const
-        {
-            return when != o.when ? when > o.when : seq > o.seq;
-        }
+        std::coroutine_handle<> h; // set → resume directly
+        Callback* fn;              // otherwise the boxed callback
     };
 
-    static std::size_t bucketOf(Tick t) { return t & kMask; }
+    /** Heap order: true when @p a fires after @p b. */
+    static bool
+    later(const Event& a, const Event& b)
+    {
+        return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+    }
 
     void
-    push(Event ev)
+    push(Tick when, std::coroutine_handle<> h, Callback* fn)
     {
-        // Tolerate (documented-illegal) past ticks by firing asap
-        // instead of corrupting the wheel window.
-        if (ev.when < now_)
-            ev.when = now_;
-        if (ev.when - now_ < kWheelTicks) {
-            const std::size_t b = bucketOf(ev.when);
-            wheel_[b].push_back(std::move(ev));
-            occ_[b >> 6] |= std::uint64_t{1} << (b & 63);
-            ++wheelCount_;
-        } else {
-            far_.push(std::move(ev));
-        }
+        // Tolerate (documented-illegal) past ticks by firing asap:
+        // after everything already due now, in schedule order.
+        heap_.push_back(Event{std::max(when, now_), seq_++, h, fn});
+        std::push_heap(heap_.begin(), heap_.end(), later);
     }
 
-    /**
-     * Earliest tick with pending wheel events strictly after now_'s
-     * bucket, or ~0 when none. The current bucket is excluded on
-     * purpose: its occupancy bit may be stale (set while its events
-     * have all been drained — the bit is only cleared when the bucket
-     * retires), and both callers handle in-flight current-tick events
-     * before calling.
-     */
-    Tick
-    nextWheelTick() const
-    {
-        if (wheelCount_ == 0)
-            return ~Tick{0};
-        // Circular bitmap scan starting just after now_'s bucket; the
-        // k-th bucket after it holds tick now_ + k (wheel events all
-        // lie in [now_, now_ + kWheelTicks)).
-        const std::size_t start = bucketOf(now_);
-        const std::size_t first = (start + 1) & kMask;
-        constexpr std::size_t words = kWheelTicks / 64;
-        std::size_t w = first >> 6;
-        std::uint64_t m = occ_[w] & (~std::uint64_t{0} << (first & 63));
-        for (std::size_t n = 0; n <= words; ++n) {
-            while (m != 0) {
-                const std::size_t b =
-                    (w << 6) | std::size_t(std::countr_zero(m));
-                const std::size_t k = (b - start) & kMask;
-                if (k != 0)
-                    return now_ + k;
-                m &= m - 1; // stale bit of the drained current bucket
-            }
-            w = (w + 1) & (words - 1);
-            m = occ_[w];
-        }
-        return ~Tick{0};
-    }
-
-    /**
-     * Positions now_/drainIdx_ on the next due event: finishes the
-     * current tick's bucket, otherwise retires it, advances to the
-     * earliest pending tick, and folds due overflow events into that
-     * bucket (restoring global (when, seq) order by a seq sort).
-     * @return false when nothing is pending
-     */
-    bool
-    advance()
-    {
-        auto* b = &wheel_[bucketOf(now_)];
-        if (drainIdx_ < b->size())
-            return true;
-        if (drainIdx_ != 0) {
-            b->clear();
-            drainIdx_ = 0;
-            const std::size_t bi = bucketOf(now_);
-            occ_[bi >> 6] &= ~(std::uint64_t{1} << (bi & 63));
-        }
-        const Tick wn = nextWheelTick();
-        const Tick fn = far_.empty() ? ~Tick{0} : far_.top().when;
-        const Tick t = std::min(wn, fn);
-        if (t == ~Tick{0})
-            return false;
-        now_ = t;
-        b = &wheel_[bucketOf(now_)];
-        bool migrated = false;
-        while (!far_.empty() && far_.top().when == now_) {
-            // priority_queue::top is const; the move is safe because
-            // pop() only reads the ordering keys, which stay valid.
-            b->push_back(std::move(const_cast<Event&>(far_.top())));
-            far_.pop();
-            ++wheelCount_;
-            migrated = true;
-        }
-        if (migrated) {
-            const std::size_t bi = bucketOf(now_);
-            occ_[bi >> 6] |= std::uint64_t{1} << (bi & 63);
-            std::sort(b->begin(), b->end(),
-                      [](const Event& x, const Event& y) {
-                          return x.seq < y.seq;
-                      });
-        }
-        return true;
-    }
-
-    std::vector<std::vector<Event>> wheel_ =
-        std::vector<std::vector<Event>>(kWheelTicks);
-    /** One occupancy bit per bucket (cleared only on bucket retire). */
-    std::vector<std::uint64_t> occ_ =
-        std::vector<std::uint64_t>(kWheelTicks / 64, 0);
-    /** Events scheduled >= kWheelTicks ahead wait here. */
-    std::priority_queue<Event, std::vector<Event>, std::greater<>> far_;
-    /** Next un-fired slot in the current tick's bucket. */
-    std::size_t drainIdx_ = 0;
-    std::size_t wheelCount_ = 0;
+    std::vector<Event> heap_;
     Tick now_ = 0;
     std::uint64_t seq_ = 0;
     std::uint64_t executed_ = 0;

@@ -168,8 +168,32 @@ SmtxRuntime::commitProcess(runtime::ThreadContext& tc,
 
 // --- SmtxMem -------------------------------------------------------------
 
-sim::Task<std::uint64_t>
+runtime::MemOp<std::uint64_t>
 SmtxMem::load(Addr a, unsigned size)
+{
+    return loadBody(a, size);
+}
+
+runtime::MemOp<void>
+SmtxMem::store(Addr a, std::uint64_t v, unsigned size)
+{
+    return storeBody(a, v, size);
+}
+
+runtime::MemOp<void>
+SmtxMem::compute(Cycles c)
+{
+    return tc_.compute(c);
+}
+
+runtime::MemOp<bool>
+SmtxMem::branch(Addr pc, bool taken)
+{
+    return tc_.branch(pc, taken);
+}
+
+sim::Task<std::uint64_t>
+SmtxMem::loadBody(Addr a, unsigned size)
 {
     co_await tc_.compute(kStmReadBarrier);
     std::uint64_t v = co_await tc_.load(a, size);
@@ -179,7 +203,7 @@ SmtxMem::load(Addr a, unsigned size)
 }
 
 sim::Task<void>
-SmtxMem::store(Addr a, std::uint64_t v, unsigned size)
+SmtxMem::storeBody(Addr a, std::uint64_t v, unsigned size)
 {
     co_await tc_.compute(kStmWriteBarrier);
     co_await tc_.store(a, v, size);
@@ -188,18 +212,6 @@ SmtxMem::store(Addr a, std::uint64_t v, unsigned size)
         if (pendingForwards_)
             pendingForwards_->push_back(a);
     }
-}
-
-sim::Task<void>
-SmtxMem::compute(Cycles c)
-{
-    co_await tc_.compute(c);
-}
-
-sim::Task<bool>
-SmtxMem::branch(Addr pc, bool taken)
-{
-    co_return co_await tc_.branch(pc, taken) != 0;
 }
 
 // --- SmtxRunner -----------------------------------------------------------
@@ -341,22 +353,13 @@ SmtxRunner::run(runtime::LoopWorkload& wl,
                            c.numCores - 1));
     m.run();
 
-    runtime::ExecResult r;
-    r.model = std::string("SMTX ") +
-        (mode == RwSetMode::Maximal ? "max R/W" : "min R/W") + " x" +
-        std::to_string(workers);
-    r.cycles = m.now();
-    m.sys().flushDirtyToMemory();
-    r.checksum = wl.checksum(m);
-    r.stats = m.sys().stats();
-    r.indexStats = m.sys().indexStats();
+    runtime::ExecResult r = runtime::collectRun(
+        m, wl,
+        std::string("SMTX ") +
+            (mode == RwSetMode::Maximal ? "max R/W" : "min R/W") +
+            " x" + std::to_string(workers));
     r.transactions = wl.iterations();
     r.smtxMisspeculations = sh.rt.misspeculations();
-    for (CoreId i = 0; i < c.numCores; ++i) {
-        r.instructions += m.ctx(i).instructions();
-        r.branches += m.ctx(i).predictor().branches();
-        r.mispredicts += m.ctx(i).predictor().mispredicts();
-    }
     return r;
 }
 

@@ -160,13 +160,17 @@ class SmtxMem final : public runtime::MemIf
           pendingForwards_(pendingForwards)
     {}
 
-    sim::Task<std::uint64_t> load(Addr a, unsigned size = 8) override;
-    sim::Task<void> store(Addr a, std::uint64_t v,
-                          unsigned size = 8) override;
-    sim::Task<void> compute(Cycles c) override;
-    sim::Task<bool> branch(Addr pc, bool taken) override;
+    runtime::MemOp<std::uint64_t> load(Addr a,
+                                       unsigned size = 8) override;
+    runtime::MemOp<void> store(Addr a, std::uint64_t v,
+                               unsigned size = 8) override;
+    runtime::MemOp<void> compute(Cycles c) override;
+    runtime::MemOp<bool> branch(Addr pc, bool taken) override;
 
   private:
+    sim::Task<std::uint64_t> loadBody(Addr a, unsigned size);
+    sim::Task<void> storeBody(Addr a, std::uint64_t v, unsigned size);
+
     runtime::ThreadContext& tc_;
     SmtxRuntime& rt_;
     unsigned producer_;

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <exception>
+#include <string>
+
 #include "runtime/executors.hh"
 #include "runtime/thread_context.hh"
 #include "workloads/linked_list.hh"
@@ -162,6 +165,67 @@ TEST(Recovery, ExplicitAbortMtxReplays)
 
     EXPECT_GE(rp.stats.aborts, 1u);
     EXPECT_EQ(rp.checksum, rs.checksum);
+}
+
+/**
+ * DOALL loop whose iterations all read-modify-write one shared line: a
+ * true cross-iteration dependence. Every iteration after the first
+ * reads the line before its predecessor's store commits, so each
+ * recovery replays into the same abort.
+ */
+class SharedCounterWorkload final : public LoopWorkload
+{
+  public:
+    std::string name() const override { return "shared-counter"; }
+    Paradigm paradigm() const override { return Paradigm::Doall; }
+    std::uint64_t iterations() const override { return 3; }
+
+    void
+    setup(Machine& m) override
+    {
+        line_ = m.heap().allocLines(1);
+    }
+
+    sim::Task<void>
+    stage1(MemIf& mem, std::uint64_t) override
+    {
+        const std::uint64_t v = co_await mem.load(line_);
+        co_await mem.store(line_, v + 1);
+    }
+
+    sim::Task<void>
+    stage2(MemIf&, std::uint64_t) override
+    {
+        co_return;
+    }
+
+    std::uint64_t
+    checksum(Machine& m) override
+    {
+        return m.sys().memory().read(line_, 8);
+    }
+
+  private:
+    Addr line_ = 0;
+};
+
+TEST(Recovery, TrueDependenceLivelockIsReportedAsLivelock)
+{
+    // The recovery bound trips in one root while its siblings wait
+    // for it; Machine::run must report that root's livelock, not the
+    // siblings' blocked state as a deadlock.
+    sim::MachineConfig c;
+    c.numCores = 4;
+    c.maxRecoveries = 8;
+    SharedCounterWorkload wl;
+    try {
+        Runner::runDoall(wl, c, 4);
+        FAIL() << "a livelocked DOALL loop completed";
+    } catch (const std::exception& e) {
+        EXPECT_NE(std::string(e.what()).find("abort-recovery livelock"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 } // namespace

@@ -2,52 +2,23 @@
  * @file
  * Unit tests of FlatLineTable, the open-addressing line-address table
  * behind CacheSystem's presence filter, shadow marks and per-VID
- * read/write sets. This binary replaces the global operator new to
- * count heap allocations, so it can check that empty tables cost
- * nothing and that clear() keeps the slots.
+ * read/write sets. This binary links alloc_counter.cc, which replaces
+ * the global operator new to count heap allocations, so it can check
+ * that empty tables cost nothing and that clear() keeps the slots.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <cstdlib>
 #include <new>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "alloc_counter.hh"
 #include "sim/flat_line_table.hh"
 #include "sim/rng.hh"
-
-namespace
-{
-
-std::atomic<std::size_t> gAllocs{0};
-
-} // namespace
-
-void*
-operator new(std::size_t n)
-{
-    ++gAllocs;
-    if (void* p = std::malloc(n == 0 ? 1 : n))
-        return p;
-    throw std::bad_alloc();
-}
-
-void
-operator delete(void* p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void* p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace hmtx::sim
 {
@@ -143,10 +114,10 @@ TEST(FlatLineTable, ClearKeepsCapacity)
     EXPECT_FALSE(s.contains(0));
 
     // Refilling to the old footprint reuses the slots: no allocation.
-    const std::size_t before = gAllocs.load();
+    const std::size_t before = heapAllocations();
     for (Addr i = 0; i < 100; ++i)
         EXPECT_TRUE(s.insert((i + 500) * kLineBytes));
-    EXPECT_EQ(gAllocs.load(), before);
+    EXPECT_EQ(heapAllocations(), before);
     EXPECT_EQ(s.capacity(), cap);
     EXPECT_EQ(s.size(), 100u);
 }
@@ -206,7 +177,7 @@ TEST(FlatLineTable, EmptyTablesMakeNoHeapAllocation)
     std::vector<unsigned char> maps(kTables * sizeof(Map));
     static_assert(alignof(FlatLineSet) <= alignof(std::max_align_t));
     static_assert(alignof(Map) <= alignof(std::max_align_t));
-    const std::size_t before = gAllocs.load();
+    const std::size_t before = heapAllocations();
     std::size_t found = 0;
     for (std::size_t i = 0; i < kTables; ++i) {
         auto* s = new (sets.data() + i * sizeof(FlatLineSet)) FlatLineSet;
@@ -216,7 +187,7 @@ TEST(FlatLineTable, EmptyTablesMakeNoHeapAllocation)
         s->clear();
         m->forEach([&](Addr, std::uint64_t) { ++found; });
     }
-    EXPECT_EQ(gAllocs.load(), before);
+    EXPECT_EQ(heapAllocations(), before);
     EXPECT_EQ(found, 0u);
     for (std::size_t i = 0; i < kTables; ++i) {
         reinterpret_cast<FlatLineSet*>(sets.data() +

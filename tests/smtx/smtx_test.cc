@@ -132,5 +132,15 @@ TEST(Smtx, ValidationDetectsRealConflicts)
     EXPECT_GT(r.smtxMisspeculations, 0u);
 }
 
+TEST(Smtx, ReportsZeroEventWakeups)
+{
+    // SMTX runs fill the same simulator-side counters as the HMTX
+    // runners: its loop bodies retire timed ops without events too.
+    workloads::LinkedListWorkload par(wlParams());
+    runtime::ExecResult r =
+        SmtxRunner::run(par, cfg(), RwSetMode::Minimal);
+    EXPECT_GT(r.fastStats.eventBypasses, 0u);
+}
+
 } // namespace
 } // namespace hmtx::smtx
